@@ -51,7 +51,7 @@
 #include <malloc.h>  // mallopt: single-core arena clamp in run_figure
 #endif
 
-#include "baselines/adapters.h"
+#include "baselines/map_api.h"
 #include "common/striped_counter.h"  // CachePadded
 #include "obs/counters.h"
 #include "obs/histogram.h"
@@ -271,9 +271,9 @@ inline RoleSplit roles_for(Scenario s, int threads) {
 // The chooser is passed in: it is immutable and identical for the whole
 // sweep, and constructing it is O(key_space) for Zipf (the zeta sum), which
 // would otherwise be paid once per cell at --paper scale.
-template <class K, class V, class Adapter>
-  requires MapApi<Adapter>
-RowResult run_cell(Adapter& idx, const RunConfig& cfg, int threads,
+template <class K, class V, class Map>
+  requires MapApi<Map>
+RowResult run_cell(Map& idx, const RunConfig& cfg, int threads,
                    const KeyChooser& chooser) {
   const RoleSplit roles = roles_for(cfg.scenario, threads);
 
@@ -583,10 +583,10 @@ inline void write_metrics_file() {
 // 8-thread cell ran ~25% slower than the identical fresh-map cell). Reps
 // within a cell still share the cell's index — every cell ages the same
 // way, so best-of-N stays comparable across thread counts.
-template <class K, class V, class Adapter>
-  requires MapApi<Adapter>
+template <class K, class V, class Map>
+  requires MapApi<Map>
 void run_index(const RunConfig& cfg, const char* name) {
-  const auto preload = [&cfg](Adapter& idx) {
+  const auto preload = [&cfg](Map& idx) {
     // Shuffled preload: ascending insertion would degenerate the BST-route
     // baselines (every split lands on the right edge). Indices are strided
     // across the whole key space (every other lattice point for the default
@@ -605,7 +605,7 @@ void run_index(const RunConfig& cfg, const char* name) {
   };
   const KeyChooser chooser(cfg.dist, cfg.key_space, cfg.zipf_theta);
   for (int threads : cfg.threads) {
-    Adapter idx;
+    Map idx;
     preload(idx);
     if (cfg.warmup > 0) {
       RunConfig warm = cfg;
@@ -634,8 +634,8 @@ void run_index(const RunConfig& cfg, const char* name) {
     std::fflush(stdout);
     if (!metrics_sink().path.empty()) {
       std::string map_json;
-      if constexpr (requires { idx.underlying().debug_stats(); }) {
-        const auto ds = idx.underlying().debug_stats();
+      if constexpr (requires { idx.debug_stats(); }) {
+        const auto ds = idx.debug_stats();
         char buf[512];
         std::snprintf(
             buf, sizeof buf,
@@ -660,8 +660,8 @@ struct CliOptions {
   std::uint64_t entries = 20'000;
   std::vector<int> threads = {1, 2, 4};
   bool paper = false;
-  std::string only_index;     // run just one index
-  std::string only_scenario;  // a/b/c/d
+  std::string only_index;     // run just one index: jiffy, cslm or lf-list
+  std::string only_scenario;  // a..e
   bool skip_batches = false;
   int reps = 1;  // best-of-N per cell (see RunConfig::reps)
   double rate = 0;           // open-loop intended ops/sec (0 = closed loop)
@@ -700,8 +700,20 @@ inline CliOptions parse_cli(int argc, char** argv) {
       }
     } else if (a.rfind("--index=", 0) == 0) {
       o.only_index = val("--index=");
+      if (o.only_index != "jiffy" && o.only_index != "cslm" &&
+          o.only_index != "lf-list") {
+        std::fprintf(stderr, "unknown --index=%s (valid: jiffy cslm lf-list)\n",
+                     o.only_index.c_str());
+        std::exit(2);
+      }
     } else if (a.rfind("--scenario=", 0) == 0) {
       o.only_scenario = val("--scenario=");
+      if (o.only_scenario.size() != 1 || o.only_scenario[0] < 'a' ||
+          o.only_scenario[0] > 'e') {
+        std::fprintf(stderr, "unknown --scenario=%s (valid: a..e)\n",
+                     o.only_scenario.c_str());
+        std::exit(2);
+      }
     } else if (a == "--no-batches") {
       o.skip_batches = true;
     } else if (a.rfind("--reps=", 0) == 0) {
@@ -715,7 +727,8 @@ inline CliOptions parse_cli(int argc, char** argv) {
     } else if (a == "--help") {
       std::printf(
           "flags: --paper | --seconds=S | --entries=N | --threads=a,b,c | "
-          "--index=NAME | --scenario=a|b|c|d|e | --no-batches | --reps=N | "
+          "--index=jiffy|cslm|lf-list | --scenario=a|b|c|d|e | --no-batches | "
+          "--reps=N | "
           "--rate=OPS_PER_SEC (open-loop latency mode) | "
           "--metrics=FILE (per-cell counter/latency JSON) | "
           "--trace=FILE (binary event trace, see tools/traceview.py)\n");
@@ -726,11 +739,10 @@ inline CliOptions parse_cli(int argc, char** argv) {
 }
 
 // Runs one complete figure: the simple-update row for every index, then the
-// batch rows for the three indices that support atomic batch updates.
+// batch rows for jiffy, the only index with atomic batch updates.
 template <class K, class V>
 void run_figure(const char* figure, const char* kv_shape,
-                KeyChooser::Kind dist, const CliOptions& cli,
-                bool include_kiwi) {
+                KeyChooser::Kind dist, const CliOptions& cli) {
 #if defined(__GLIBC__)
   // Oversubscribed single-core boxes: glibc hands each worker its own malloc
   // arena, but revisions are routinely allocated by one thread and freed
@@ -779,31 +791,19 @@ void run_figure(const char* figure, const char* kv_shape,
 
     // Simple put/remove row: every index (Figure top rows).
     cfg.batch = BatchMode{};
-    if (index_enabled("jiffy")) run_index<K, V, JiffyAdapter<K, V>>(cfg, "jiffy");
+    if (index_enabled("jiffy")) run_index<K, V, JiffyMap<K, V>>(cfg, "jiffy");
     if (index_enabled("lf-list"))
-      run_index<K, V, LfListAdapter<K, V>>(cfg, "lf-list");
-    if (index_enabled("k-ary")) run_index<K, V, KaryAdapter<K, V>>(cfg, "k-ary");
-    if (index_enabled("ca-avl"))
-      run_index<K, V, CaAvlAdapter<K, V>>(cfg, "ca-avl");
-    if (index_enabled("ca-sl")) run_index<K, V, CaSlAdapter<K, V>>(cfg, "ca-sl");
-    if (index_enabled("ca-imm"))
-      run_index<K, V, CaImmAdapter<K, V>>(cfg, "ca-imm");
-    if (index_enabled("lfca")) run_index<K, V, LfcaAdapter<K, V>>(cfg, "lfca");
-    if (index_enabled("cslm")) run_index<K, V, CslmAdapter<K, V>>(cfg, "cslm");
-    if (include_kiwi && index_enabled("kiwi"))
-      run_index<K, V, KiwiAdapter<K, V>>(cfg, "kiwi");
+      run_index<K, V, baselines::LfList<K, V>>(cfg, "lf-list");
+    if (index_enabled("cslm"))
+      run_index<K, V, baselines::CslmMap<K, V>>(cfg, "cslm");
 
-    // Batch rows: Jiffy vs the lock-based CA trees (Figure middle/bottom).
-    if (cli.skip_batches) continue;
+    // Batch rows (Figure middle/bottom): jiffy only — the baselines' apply()
+    // is a plain, non-atomic loop.
+    if (cli.skip_batches || !index_enabled("jiffy")) continue;
     for (std::size_t bsz : {std::size_t{10}, std::size_t{100}}) {
       for (bool seq : {true, false}) {
         cfg.batch = BatchMode{bsz, seq};
-        if (index_enabled("jiffy"))
-          run_index<K, V, JiffyAdapter<K, V>>(cfg, "jiffy");
-        if (index_enabled("ca-avl"))
-          run_index<K, V, CaAvlAdapter<K, V>>(cfg, "ca-avl");
-        if (index_enabled("ca-sl"))
-          run_index<K, V, CaSlAdapter<K, V>>(cfg, "ca-sl");
+        run_index<K, V, JiffyMap<K, V>>(cfg, "jiffy");
       }
     }
   }

@@ -10,7 +10,7 @@
 // values are reclaimed through the shared EBR. Scans (forward, reverse and
 // bounded-range) are weakly consistent (like the Java CSLM iterators the
 // paper benchmarks against); apply() is a plain loop, i.e. NOT atomic — the
-// harness only runs batch rows for indices that support them.
+// harness runs its batch rows on JiffyMap only.
 #pragma once
 
 #include <atomic>
@@ -28,6 +28,9 @@ namespace jiffy::baselines {
 template <class K, class V, class Less = std::less<K>>
 class CslmMap {
  public:
+  using key_type = K;
+  using mapped_type = V;
+
   CslmMap() {
     head_ = new Node(K{}, nullptr, kMaxLevel - 1, Sentinel::kHead);
     tail_ = new Node(K{}, nullptr, kMaxLevel - 1, Sentinel::kTail);
@@ -243,7 +246,7 @@ class CslmMap {
   }
 
   // Not atomic: CSLM has no batch support in the paper either; the harness
-  // only emits batch rows for indices that provide real atomic batches.
+  // runs its batch rows on JiffyMap only.
   void apply(Batch<K, V> b) {
     for (const auto& op : b.ops()) {
       if (op.kind == BatchOp<K, V>::Kind::kPut)

@@ -44,6 +44,9 @@ namespace jiffy::baselines {
 template <class K, class V, class Less = std::less<K>>
 class LfList {
  public:
+  using key_type = K;
+  using mapped_type = V;
+
   LfList() {
     head_ = new Node(K{}, nullptr, Sentinel::kHead);
     tail_ = new Node(K{}, nullptr, Sentinel::kTail);
@@ -212,7 +215,7 @@ class LfList {
   }
 
   // Not atomic — like CSLM, this baseline has no batch support; the harness
-  // only emits batch rows for indices whose registry entry claims them.
+  // runs its batch rows on JiffyMap only.
   void apply(Batch<K, V> b) {
     for (const auto& op : b.ops()) {
       if (op.kind == BatchOp<K, V>::Kind::kPut)

@@ -1,7 +1,7 @@
 // Unit checks for the supporting subsystems: clocks, RNG + distributions,
 // key/value codecs, FixedBytes ordering, revision builder + hash index,
-// the thread-local block cache, EBR, and the CSLM + LockedMap baselines
-// (sequential and a short 4-thread shake for the CSLM).
+// the thread-local block cache, EBR, and the CSLM baseline (sequential and a
+// short 4-thread shake).
 #include <atomic>
 #include <cstdint>
 #include <map>
@@ -9,7 +9,7 @@
 #include <thread>
 #include <vector>
 
-#include "baselines/adapters.h"
+#include "baselines/cslm.h"
 #include "common/block_cache.h"
 #include "common/fixed_bytes.h"
 #include "core/jiffy.h"
@@ -221,7 +221,7 @@ void shake_map_interface(M& m) {
 
 void test_cslm() {
   {
-    CslmAdapter<std::uint64_t, std::uint64_t> m;
+    baselines::CslmMap<std::uint64_t, std::uint64_t> m;
     shake_map_interface(m);
   }
   // Short 4-thread churn; correctness here = no crash/race (TSan preset)
@@ -257,20 +257,6 @@ void test_cslm() {
   for (std::uint64_t k = 0; k < 64; ++k) CHECK_EQ(*m.get(k), k);
 }
 
-void test_locked_map_stub() {
-  KaryAdapter<std::uint64_t, std::uint64_t> m;
-  shake_map_interface(m);
-  CHECK(baselines::adapter_info("k-ary") != nullptr);
-  CHECK(baselines::adapter_info("k-ary")->kind ==
-        baselines::AdapterKind::kStub);
-  CHECK(baselines::adapter_info("jiffy")->kind ==
-        baselines::AdapterKind::kNative);
-  CHECK(baselines::adapter_info("lf-list")->kind ==
-        baselines::AdapterKind::kNative);
-  CHECK(baselines::adapter_info("snaptree") == nullptr);  // replaced
-  CHECK(baselines::adapter_info("nope") == nullptr);
-}
-
 }  // namespace
 
 int main() {
@@ -281,7 +267,6 @@ int main() {
   test_block_cache();
   test_ebr();
   test_cslm();
-  test_locked_map_stub();
   std::puts("test_components OK");
   return 0;
 }
