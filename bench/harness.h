@@ -47,9 +47,6 @@
 #include <string>
 #include <thread>
 #include <vector>
-#if defined(__GLIBC__)
-#include <malloc.h>  // mallopt: single-core arena clamp in run_figure
-#endif
 
 #include "baselines/map_api.h"
 #include "common/striped_counter.h"  // CachePadded
@@ -743,16 +740,6 @@ inline CliOptions parse_cli(int argc, char** argv) {
 template <class K, class V>
 void run_figure(const char* figure, const char* kv_shape,
                 KeyChooser::Kind dist, const CliOptions& cli) {
-#if defined(__GLIBC__)
-  // Oversubscribed single-core boxes: glibc hands each worker its own malloc
-  // arena, but revisions are routinely allocated by one thread and freed
-  // (via EBR) by another, so chunks migrate between arenas instead of being
-  // reused hot. With one hardware thread the usual reason for multiple
-  // arenas — cross-core lock contention — does not exist, so clamp to one
-  // and keep the allocation stream cache-resident (measured ~4-5% on the
-  // 8-thread update-only cell; see DESIGN.md §14). Left alone on multicore.
-  if (std::thread::hardware_concurrency() <= 1) mallopt(M_ARENA_MAX, 1);
-#endif
   RunConfig base;
   base.figure = figure;
   base.kv_shape = kv_shape;

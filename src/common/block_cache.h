@@ -1,5 +1,5 @@
 // Thread-local LIFO cache of raw allocation blocks for the revision churn
-// path (DESIGN.md §14.3).
+// path (DESIGN.md §14.2).
 //
 // Every update builds a new revision and retires the old one, so the engine's
 // dominant malloc/free traffic is same-sized blocks cycling at op rate. Under

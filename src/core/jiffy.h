@@ -121,15 +121,13 @@ inline std::uint16_t fold_hash16(std::size_t h) {
   return static_cast<std::uint16_t>(x ^ (x >> 16));
 }
 
-// Shared version for multi-revision atomic installs (splits and batches).
-// `helpable` distinguishes splits (fully published by one CAS, so any reader
-// may stamp) from batches (multi-CAS; only the batch writer stamps). A batch
-// cell additionally owns the published BatchDescriptor (type-erased here so
-// the cell stays untemplated); it is freed with the cell.
+// Shared version for multi-revision atomic installs (splits, batches and
+// merges). A batch cell additionally owns the published BatchDescriptor
+// (type-erased here so the cell stays untemplated); it is freed with the
+// cell.
 struct VersionCell {
   std::atomic<std::uint64_t> version{kPendingVersion};
   std::atomic<std::uint32_t> refs{0};
-  bool helpable = true;
   void* batch = nullptr;
   void (*batch_deleter)(void*) = nullptr;
 
@@ -267,7 +265,7 @@ struct Revision {
     // Revisions cycle at op rate (every update builds one and retires one),
     // so draw from the per-thread block cache: the most recently disposed
     // same-class block comes back first, skipping the allocator round trip
-    // the EBR delay would otherwise turn into a cold miss (DESIGN.md §14.3).
+    // the EBR delay would otherwise turn into a cold miss (DESIGN.md §14.2).
     bytes = ThreadBlockCache::usable_size(bytes);
     void* mem = ThreadBlockCache::allocate(bytes);
     auto* r = ::new (mem) Revision();
@@ -483,14 +481,6 @@ struct JiffyNode {
   std::atomic<std::uint64_t> birth{kPendingVersion};
   std::atomic<Revision<K, V>*> rev{nullptr};
   std::atomic<JiffyNode*> back{nullptr};
-  // Link-structure generation observed when `back` was last validated: a
-  // slow-path pred_at stamps the pre-walk generation after tightening the
-  // hint, so a later reverse scan that sees back_gen == map.gen_ may try the
-  // hint directly. The stamp is a staleness filter only — `back` and
-  // `back_gen` are separate atomics racing writers can cross-pair, so the
-  // fast path still self-validates the hint (next[0] == this && held_at)
-  // before trusting it. See DESIGN.md §14.
-  std::atomic<std::uint64_t> back_gen{0};
   // Set (once, never cleared) by the purge pass on a dead tombstone it is
   // about to unlink: writers that could otherwise re-publish a link to the
   // node check it first (install_split, pred_at). See DESIGN.md §9.
@@ -501,24 +491,26 @@ struct JiffyNode {
       : height(h), is_head(head), anchor(std::move(a)), next(h) {}
 };
 
+// Byte budgets bounding the autoscaler's entry-count targets (DESIGN.md
+// §14). A put rebuilds its whole revision, so the *byte* size of a revision
+// — entry count x sizeof(Entry) — is what the write fast path actually pays;
+// the count targets were tuned for ~12B entries and turn into multi-KB
+// memcpys per update at 100B values. JiffyMap derives effective min/max
+// counts as min(count target, byte budget / sizeof(Entry)), floored at 8/32
+// entries — a pure reduction, so explicit small configs and small-entry
+// workloads see exactly the configured counts.
+inline constexpr std::uint32_t kMinRevisionBytes = 576;   // 48 x 12B entries
+inline constexpr std::uint32_t kMaxRevisionBytes = 2688;  // 224 x 12B entries
+// Time constant of the autoscaler's read-fraction EMA (paper: ~1-10 s
+// adjustment; scaled to small runs).
+inline constexpr double kAutoscalerTauS = 0.5;
+
 struct JiffyConfig {
   struct Autoscaler {
     bool enabled = true;
     std::uint32_t fixed_size = 128;  // revision size cap when disabled
     std::uint32_t min_size = 48;     // target at 0% reads
     std::uint32_t max_size = 224;    // target at 100% reads
-    // Byte budgets bounding the entry-count targets above (DESIGN.md §14.2).
-    // A put rebuilds its whole revision, so the *byte* size of a revision —
-    // entry count x sizeof(Entry) — is what the write fast path actually
-    // pays; the count targets were tuned for ~12B entries and turn into
-    // multi-KB memcpys per update at 100B values. JiffyMap derives effective
-    // min/max counts as min(count target, byte budget / sizeof(Entry)),
-    // floored at 8/32 entries — a pure reduction, so explicit small configs
-    // and small-entry workloads see exactly the counts configured here.
-    std::uint32_t min_bytes = 576;   // 48 entries x 12B, the tuning point
-    std::uint32_t max_bytes = 2688;  // 224 entries x 12B
-    double tau_s = 0.5;              // EMA time constant (paper: ~1-10 s
-                                     // adjustment; scaled to small runs)
     double interval_s = 0.05;        // min recompute interval
   } autoscaler;
   struct Reclaim {
@@ -606,7 +598,7 @@ class RevisionAutoscaler {
     if (r + w == 0) return;
     const double rf = static_cast<double>(r) / static_cast<double>(r + w);
     const double dt = static_cast<double>(now - last) * 1e-9;
-    const double alpha = 1.0 - std::exp(-dt / cfg_.tau_s);
+    const double alpha = 1.0 - std::exp(-dt / kAutoscalerTauS);
     // relaxed: only the CAS winner writes ema_ in this window; readers
     // tolerate any recent value.
     double ema = ema_.load(std::memory_order_relaxed);
@@ -659,13 +651,13 @@ class JiffyMap {
   JiffyMap() : JiffyMap(JiffyConfig{}) {}
 
   // Apply the autoscaler's byte budgets to its entry-count targets for this
-  // map's sizeof(Entry) — reduction only, see JiffyConfig::Autoscaler.
+  // map's sizeof(Entry) — reduction only, see kMinRevisionBytes.
   static JiffyConfig::Autoscaler byte_scaled(JiffyConfig::Autoscaler a) {
     const std::size_t e = sizeof(Entry);
-    const auto by_min =
-        static_cast<std::uint32_t>(std::max<std::size_t>(8, a.min_bytes / e));
-    const auto by_max =
-        static_cast<std::uint32_t>(std::max<std::size_t>(32, a.max_bytes / e));
+    const auto by_min = static_cast<std::uint32_t>(
+        std::max<std::size_t>(8, kMinRevisionBytes / e));
+    const auto by_max = static_cast<std::uint32_t>(
+        std::max<std::size_t>(32, kMaxRevisionBytes / e));
     if (by_min < a.min_size) a.min_size = by_min;
     if (by_max < a.max_size) a.max_size = by_max;
     if (a.max_size < a.min_size) a.max_size = a.min_size;
@@ -674,10 +666,6 @@ class JiffyMap {
 
   explicit JiffyMap(const JiffyConfig& cfg)
       : cfg_(cfg), scaler_(byte_scaled(cfg.autoscaler)) {
-    // relaxed: constructor runs before the map is shared. Start at 1 so a
-    // fresh node's zero-initialized back_gen can never match the live
-    // generation before a slow-path pred_at has actually validated its hint.
-    gen_.store(1, std::memory_order_relaxed);
     head_ = new Node(Node::kMaxHeight, /*head=*/true, K{});
     RevisionBuilder<K, V, Hash> b(RevKind::kPlain, 0, /*version=*/0,
                                   cfg_.hash_index);
@@ -722,13 +710,7 @@ class JiffyMap {
     scaler_.note(/*is_read=*/false);
     ebr::Guard g;
     g.assert_held();
-    // Install losses escalate to yield: a lost head CAS means another writer
-    // landed on this node, and each retry re-copies the whole revision, so a
-    // skewed workload on an oversubscribed core turns a hot node into a storm
-    // of doomed multi-KB rebuilds. Two consecutive losses ⇒ donate the slice
-    // to the contending writer instead of racing it. Uncontended puts never
-    // lose, so the counter costs nothing on the fast path.
-    for (int losses = 0;;) {
+    for (;;) {
       auto [x, r] = locate(k, g);
       if (wait_writable(x, r, g) != r) continue;  // head moved: re-route
       if (r->kind == RevKind::kAbsorbed) continue;  // merge committed here
@@ -742,7 +724,6 @@ class JiffyMap {
           return !hit;
         }
         JIFFY_COUNT(cas_install_lost);
-        if (++losses >= 2) std::this_thread::yield();
         continue;
       }
       RevisionBuilder<K, V, Hash> b(RevKind::kPlain, newn, kPendingVersion,
@@ -770,7 +751,6 @@ class JiffyMap {
       }
       Rev::unref(nr, /*immediate=*/true);
       JIFFY_COUNT(cas_install_lost);
-      if (++losses >= 2) std::this_thread::yield();
     }
   }
 
@@ -779,7 +759,7 @@ class JiffyMap {
     scaler_.note(/*is_read=*/false);
     ebr::Guard g;
     g.assert_held();
-    for (int losses = 0;;) {  // same loss escalation as put()
+    for (;;) {
       auto [x, r] = locate(k, g);
       if (wait_writable(x, r, g) != r) continue;  // head moved: re-route
       if (r->kind == RevKind::kAbsorbed) continue;  // merge committed here
@@ -797,7 +777,6 @@ class JiffyMap {
       }
       Rev::unref(nr, /*immediate=*/true);
       JIFFY_COUNT(cas_install_lost);
-      if (++losses >= 2) std::this_thread::yield();
     }
   }
 
@@ -862,7 +841,6 @@ class JiffyMap {
     auto* desc = new BatchDescriptor<K, V>;
     desc->ops = std::move(ops);
     auto* cell = new VersionCell;
-    cell->helpable = false;
     cell->batch = desc;
     cell->batch_deleter = &BatchDescriptor<K, V>::destroy;
     // The writer holds its own reference: a failed install CAS destroys the
@@ -1271,10 +1249,16 @@ class JiffyMap {
       const std::size_t i =
           d->installed.load(std::memory_order_seq_cst);  // pairs: batch-watermark
       if (i >= sops.size()) break;
+      sched::point(sched::Point::kBatchResume);
+      auto [x, r] = locate(sops[i].key, g);
+      // Checked only now, after the head load: nothing builds on a batch
+      // revision before the cell is stamped, so a cell still pending here
+      // proves r is pre-batch (or this batch's own). Checked before the
+      // load, a helper delayed in between could take a newer write's
+      // revision for the base and replay a finished group over it.
       if (cell->version.load(std::memory_order_seq_cst) !=  // pairs: version-stamp
           kPendingVersion)
         break;  // another thread already completed and stamped the batch
-      auto [x, r] = locate(sops[i].key, g);
       if (r->cell == cell) {
         if (r->batch_hi > i) {
           // The group at the watermark is already installed — this very
@@ -1336,9 +1320,9 @@ class JiffyMap {
 
   // Help stamp r if its linearization only misses the stamp itself; false
   // when r may still be rolled back or has installs outstanding. Cases:
-  //   * plain revisions and split parts (helpable cell): published by one
-  //     CAS, always stampable — and stamping them is part of the safety
-  //     argument (DESIGN.md §5);
+  //   * plain revisions and split parts: published by one CAS, always
+  //     stampable — and stamping them is part of the safety argument
+  //     (DESIGN.md §5);
   //   * batch revisions: stampable once the published BatchDescriptor
   //     reports ops fully installed. This closes a real atomicity hole: the
   //     batch writer reads its stamp timestamp before the stamp CAS, so a
@@ -1361,7 +1345,7 @@ class JiffyMap {
       JIFFY_COUNT(help_stamp);
       return true;
     }
-    if (!r->cell->helpable && r->kind == RevKind::kBatch) {
+    if (r->kind == RevKind::kBatch) {
       auto* d = static_cast<BatchDescriptor<K, V>*>(r->cell->batch);
       if (!d ||
           d->installed.load(std::memory_order_seq_cst) !=  // pairs: batch-watermark
@@ -1416,7 +1400,7 @@ class JiffyMap {
     const std::uint32_t per = total / nparts;
     const std::uint32_t rem = total % nparts;
 
-    auto* cell = new VersionCell;  // helpable: one CAS publishes everything
+    auto* cell = new VersionCell;  // one CAS publishes every part
     Node* old_next = x->next[0].load(std::memory_order_seq_cst);  // pairs: next-link
     // Never record a condemned tombstone as the link target: the purge pass
     // is about to unlink it, so help it out first and re-read. (A condemn
@@ -1509,15 +1493,6 @@ class JiffyMap {
     }
     sched::point(sched::Point::kSplitLink);
     ensure_link(x, rlow, g);
-    // The link chain just grew: any back_gen stamped against the pre-split
-    // structure is now stale, so bump the generation. Splits are the only
-    // bump site — purge splices and merges never insert a node between a
-    // hint and its successor, and liveness changes are covered by the fast
-    // path's held_at re-check (see pred_at).
-    // relaxed: the generation is a staleness filter only; pred_at's fast
-    // path self-validates every hint and never trusts the stamp alone, so
-    // no ordering with the link stores is required for correctness.
-    gen_.fetch_add(1, std::memory_order_relaxed);
     // Tighten the old successor's back hint onto the rightmost new node
     // (new_nodes[0]); stale hints only cost a longer forward re-walk.
     if (old_next && !new_nodes.empty())
@@ -1566,7 +1541,6 @@ class JiffyMap {
       return;
 
     auto* cell = new VersionCell;
-    cell->helpable = false;
     // relaxed: the cell is thread-private until the marker CAS publishes.
     cell->refs.store(1, std::memory_order_relaxed);  // writer's reference
 
@@ -2001,27 +1975,7 @@ class JiffyMap {
                 const ebr::VersionTicket& tk) const
       JIFFY_REQUIRES_GUARD(g) JIFFY_REQUIRES_TICKET(tk) {
     if (x == head_) return nullptr;
-    // relaxed: the generation is a staleness filter, not a publication
-    // channel — the fast path below self-validates the hint, so any recent
-    // value is acceptable (a stale read only forfeits the shortcut).
-    const std::uint64_t gen = gen_.load(std::memory_order_relaxed);
     Node* hint = x->back.load(std::memory_order_acquire);  // pairs: back-hint
-    // Quiescent fast path (DESIGN.md §14): a hint stamped with the current
-    // link generation was forward-validated since the last split changed
-    // the chain. The stamp alone is NOT trusted — back and back_gen are
-    // separate atomics that racing slow paths can cross-pair — so the hint
-    // is re-validated in place: it must still be x's immediate list
-    // predecessor (next[0] == x) and must hold its range at v. That pair of
-    // checks is point-in-time sound on its own (v was pinned before this
-    // call: a node linked later is born after v, and an unlinked node is a
-    // condemned tombstone already dead at v), which is what makes the
-    // generation safe to use as a mere filter. On a match the whole forward
-    // re-validation walk is skipped.
-    if (hint &&
-        x->back_gen.load(std::memory_order_acquire) == gen &&  // pairs: back-gen
-        hint->next[0].load(std::memory_order_seq_cst) == x &&  // pairs: next-link
-        (hint == head_ || held_at(hint, v, g, tk)))
-      return hint;
     Node* p = hint ? hint : head_;
     while (p != head_ && !held_at(p, v, g, tk)) {
       Node* q = p->back.load(std::memory_order_acquire);  // pairs: back-hint
@@ -2037,18 +1991,9 @@ class JiffyMap {
     // scrubs stale hints before retiring a shell, and a reader must not
     // plant fresh ones behind its back (ticketed versions make `best`
     // condemned only in the brief window before the condemn flag is seen).
-    // When the validated predecessor is x's immediate one, also stamp the
-    // pre-walk generation: if no split intervened (gen_ still == gen), a
-    // later reverse scan may take the fast path above. Stamping the
-    // *pre-walk* value is what keeps the filter conservative — a split
-    // racing this walk bumped gen_ already, so the stamp mismatches and the
-    // next reader re-validates.
-    if (!best->condemned.load(std::memory_order_seq_cst)) {  // pairs: condemn-flag
-      if (best != hint)
-        x->back.store(best, std::memory_order_release);  // pairs: back-hint
-      if (best->next[0].load(std::memory_order_seq_cst) == x)  // pairs: next-link
-        x->back_gen.store(gen, std::memory_order_release);  // pairs: back-gen
-    }
+    if (best != hint &&
+        !best->condemned.load(std::memory_order_seq_cst))  // pairs: condemn-flag
+      x->back.store(best, std::memory_order_release);  // pairs: back-hint
     return best;
   }
 
@@ -2130,14 +2075,6 @@ class JiffyMap {
   // atomics never false-share with each other or with the read-mostly
   // members above (head_, cfg_); see DESIGN.md §14 for the per-op budget.
   StripedCounter<kCounterShards> size_;
-  // Link-structure generation: bumped by install_split between linking the
-  // new nodes and stamping them live. pred_at's slow path stamps it into
-  // back_gen after validating a hint; a matching stamp lets reverse scans
-  // try the hint first. Bumped only on split — purge splices and merges
-  // never insert nodes between a hint and its successor, and liveness
-  // changes are covered by the fast path's held_at re-check.
-  CachePadded<std::atomic<std::uint64_t>> gen_pad_;
-  std::atomic<std::uint64_t>& gen_ = gen_pad_.value;
   Node* head_;
 
   // Reclamation state (purge()). purge_pending_ and purge_epoch_ are owned

@@ -37,7 +37,6 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <thread>
 #include <vector>
 
 #include "common/analysis.h"
@@ -51,16 +50,6 @@ namespace jiffy::ebr {
 namespace detail {
 
 inline constexpr std::uint64_t kIdleEpoch = ~0ull;
-
-// Pressure-valve cadence: with the epoch stuck and the limbo bucket past
-// kLimboPressure items, retire_fn yields once per kValvePeriod retires. The
-// cadence bounds the steady-state hoard at roughly 3x the period per thread
-// (one period of growth per scheduler round, freed two epochs later) while
-// keeping scheduling slices long enough that the cache-warmth lost to each
-// context switch stays amortized. kLimboPressure keeps the valve dormant in
-// same-epoch steady state, where collect() empties buckets near 128 items.
-inline constexpr std::size_t kLimboPressure = 96;
-inline constexpr std::size_t kValvePeriod = 64;
 
 struct Retired {
   void* ptr;
@@ -83,7 +72,6 @@ struct alignas(kCacheLineBytes) ThreadRec {
   std::vector<Retired> limbo[3];
   std::uint64_t limbo_epoch[3] = {0, 0, 0};
   std::size_t retires_since_scan = 0;
-  std::size_t retires_since_valve = 0;  // see the pressure valve in retire_fn
 };
 
 struct Global {
@@ -107,7 +95,7 @@ inline Global& global() {
 
 inline void free_bucket(std::vector<Retired>& b) {
   // Drains run in bursts (hundreds of objects after an oversubscription
-  // stall, DESIGN.md §14.3) and every deleter's first touch of its object is
+  // stall, DESIGN.md §14.2) and every deleter's first touch of its object is
   // a dependent cold miss. Prefetch a few objects ahead so the misses
   // overlap the deleter work instead of serializing behind it.
   constexpr std::size_t kAhead = 8;
@@ -253,31 +241,7 @@ inline void retire_fn(void* p, void (*deleter)(void*)) {
 
   if (++rec->retires_since_scan >= 64) {
     rec->retires_since_scan = 0;
-    std::uint64_t now = try_advance();
-    // Reclamation pressure valve (DESIGN.md §14): on an oversubscribed core
-    // a descheduled peer is almost always pinned *inside* a guard, so the
-    // epoch cannot advance for this thread's entire scheduling quantum and
-    // its limbo would hoard every revision it retires — megabytes that go
-    // cold in cache while each fresh revision allocation misses instead of
-    // reusing the just-freed hot chunk (measured: the bucket peaks at ~64
-    // objects with one thread but at thousands once threads > cores). Once
-    // the bucket passes the threshold with the epoch stuck, donate the rest
-    // of the quantum: the peer finishes its operation, re-pins at the
-    // current epoch, and the retried advance lets collect() free the hoard.
-    // With threads <= cores the epoch advances on its own and the valve
-    // stays dormant; it is a scheduling hint only, never a wait, so
-    // lock-freedom is unaffected.
-    rec->retires_since_valve += 64;
-    if (bucket.size() >= kLimboPressure && now == e &&
-        rec->retires_since_valve >= kValvePeriod) {
-      rec->retires_since_valve = 0;
-      for (int tries = 0; tries < 8 && now == e; ++tries) {
-        JIFFY_COUNT(valve_donations);
-        std::this_thread::yield();
-        now = try_advance();
-      }
-    }
-    collect(rec, now);
+    collect(rec, try_advance());
   }
 }
 

@@ -2,9 +2,9 @@
 //
 // A fixed compile-time registry of named process-global event counters the
 // engine bumps at protocol-interesting sites: CAS install losses, help
-// stamps, batch-replay group claims/duplications, purge sweeps, EBR valve
-// donations, block-cache hits/misses, splits and merges — plus one striped
-// max-gauge (limbo_peak) tracking the deepest EBR limbo bucket ever seen.
+// stamps, batch-replay group claims/duplications, purge sweeps,
+// block-cache hits/misses, splits and merges — plus one striped max-gauge
+// (limbo_peak) tracking the deepest EBR limbo bucket ever seen.
 //
 // Design constraints (same budget DESIGN.md §14 set for the engine itself):
 //
@@ -56,7 +56,8 @@ enum class Ev : unsigned {
   replay_group_claimed,     // batch replay: this thread's group install won
   replay_group_duplicated,  // batch replay: rebuilt a group a rival installed
   purge_sweeps,             // cooperative purge passes started
-  valve_donations,          // EBR pressure-valve yield donations
+  valve_donations,          // never bumped since the EBR valve was
+                            // deleted; kept because perfbench reads it
   block_cache_hit,          // thread block cache served an allocation
   block_cache_miss,         // cacheable size fell through to ::operator new
   split,                    // revision split committed

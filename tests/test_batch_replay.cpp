@@ -12,6 +12,9 @@
 //   3. the victim, once released, retires harmlessly (its remaining CASes
 //      lose to the helper's) and the final state is exactly one batch
 //      application.
+// A stale-helper scenario parks a helper between its watermark read and its
+// locate while the batch completes and a newer write lands on the first
+// group, and proves the helper does not replay the finished group over it.
 // A final scenario stalls (not blocks) the merge windows under reader load.
 //
 // Only even keys are populated: anchors are always existing keys, so key 1
@@ -53,6 +56,22 @@ void populate(Map& map) {
   for (std::uint64_t k = 0; k < kSpace; k += 2) map.put(k, 1);
 }
 
+// The batch every scenario's victim applies: put kNewBase + k at each
+// k % kBatchStride == 0.
+void apply_batch(Map& map) {
+  jiffy::Batch<std::uint64_t, std::uint64_t> b;
+  for (std::uint64_t k = 0; k < kSpace; k += kBatchStride)
+    b.put(k, kNewBase + k);
+  map.apply(std::move(b));
+}
+
+// Wait (bounded) until `n` threads are parked on the plan's block triggers.
+void wait_blocked(const FaultPlan& plan, std::size_t n) {
+  for (int i = 0; plan.blocked() < n && i < 40000; ++i)
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  CHECK_EQ(plan.blocked(), n);
+}
+
 // Count how many batch keys already read their post-batch value at one
 // consistent version; atomicity demands 0 or all.
 void check_all_or_nothing(const Map& map) {
@@ -78,18 +97,10 @@ void scenario(Point p, std::uint64_t nth) {
   plan.block_at(p, nth);
   FaultPlan::install(&plan);
 
-  std::thread victim([&map] {
-    // Schedule points stay enabled on this thread only: it is the one the
-    // plan is aimed at.
-    jiffy::Batch<std::uint64_t, std::uint64_t> b;
-    for (std::uint64_t k = 0; k < kSpace; k += kBatchStride)
-      b.put(k, kNewBase + k);
-    map.apply(std::move(b));
-  });
-
-  for (int i = 0; plan.blocked() == 0 && i < 40000; ++i)
-    std::this_thread::sleep_for(std::chrono::microseconds(100));
-  CHECK_EQ(plan.blocked(), 1u);
+  // Schedule points stay enabled on the victim only: it is the thread the
+  // plan is aimed at.
+  std::thread victim([&map] { apply_batch(map); });
+  wait_blocked(plan, 1);
 
   // Readers make progress and see the batch atomically while the writer is
   // parked mid-protocol. (At the stamp point a reader may help-stamp and
@@ -125,6 +136,58 @@ void scenario(Point p, std::uint64_t nth) {
   }
   CHECK_EQ(map.size_slow(), kSpace / 2);
   std::printf("  ok (replayed; victim retired cleanly)\n");
+}
+
+// A helper that read the watermark before the batch completed must not
+// replay a finished group. The victim parks after installing group 0 (the
+// watermark still reads 0); helper H1 reaches run_batch through erase(1)
+// and parks at batch_resume with that stale watermark; helper H2 completes
+// and stamps the batch; then a plain put overwrites key 0 on top of the
+// batch's group-0 revision. Released, H1 must see the stamped cell and
+// stop: re-installing group 0 over the put would revert key 0 to its batch
+// value and add the group's size delta a second time.
+void stale_helper_scenario() {
+  std::printf("scenario: stale helper resumes after the batch completed\n");
+  Map map(small_nodes());
+  populate(map);
+
+  FaultPlan plan;
+  plan.block_at(Point::kBatchWatermark, 1);  // the victim, after group 0
+  plan.block_at(Point::kBatchResume, 2);     // H1 (hit 1 is the victim's)
+  FaultPlan::install(&plan);
+
+  std::thread victim([&map] { apply_batch(map); });
+  wait_blocked(plan, 1);
+
+  // H1 keeps schedule points enabled: its nested run_batch is the one the
+  // batch_resume trigger parks.
+  std::thread h1([&map] { CHECK(!map.erase(1)); });
+  wait_blocked(plan, 2);
+
+  std::thread h2([&map] {
+    jiffy::sched::enable_this_thread(false);
+    CHECK(!map.erase(1));
+  });
+  h2.join();
+  for (std::uint64_t k = 0; k < kSpace; k += kBatchStride)
+    CHECK_EQ(map.get(k).value(), kNewBase + k);
+
+  constexpr std::uint64_t kLater = 7;  // neither 1 nor a batch value
+  CHECK(!map.put(0, kLater));
+
+  plan.release_all();
+  h1.join();
+  victim.join();
+  FaultPlan::uninstall();
+
+  CHECK_EQ(map.get(0).value(), kLater);
+  for (std::uint64_t k = 2; k < kSpace; k += 2) {
+    const std::uint64_t want = k % kBatchStride == 0 ? kNewBase + k : 1;
+    CHECK_EQ(map.get(k).value(), want);
+  }
+  CHECK_EQ(map.size_slow(), kSpace / 2);
+  CHECK_EQ(map.approx_size(), map.size_slow());
+  std::printf("  ok (stale helper stopped at the stamped cell)\n");
 }
 
 // Merge windows under stalls: no kill (a parked merge with no helper hook
@@ -188,6 +251,8 @@ int main() {
   scenario(Point::kBatchWatermark, 5);
   // Everything installed, final stamp missing.
   scenario(Point::kBatchStamp, 1);
+  // A helper delayed between watermark read and locate.
+  stale_helper_scenario();
 
   merge_stall_scenario();
 

@@ -27,12 +27,12 @@ reported as WARNINGS:
   pre-existing at the ISSUE-9 seed (fig10 b100_rand already ran 0.65x at
   2 threads before any of this work) and a different mechanism from the
   per-op cacheline and allocator contention the hard gate protects
-  (ROADMAP item). The ISSUE-10 counters MEASURED the long-suspected
-  helping-replay-duplication explanation and refuted it: across the
-  b10/b100 x seq/rand x 1/2/4-thread sweep, replay_group_duplicated is
-  <= 0.03% of installed groups (typically 0-5 of tens of thousands), so
-  rebuilt group work is noise — the deficit is descriptor coordination
-  plus oversubscription, not duplicated rebuilds.
+  (ROADMAP item). Helping-replay duplication is a large part of it on real
+  cores: on a 4-core VM, perfbench's batches_small (4 threads) measures
+  replay_dup_ratio = replay_group_duplicated / replay_group_claimed at
+  1.74-2.04 across two sets of traced runs, i.e. every installed group is
+  built 2.7-3.0 times. (An earlier <= 0.03% reading came from a 1-core
+  container, where threads rarely overlap.)
 
 --metrics=<file> (repeatable) points at the harness's --metrics JSON dump
 (schema jiffy-metrics-v1, src/obs/counters.h). When the dump covers a
