@@ -39,12 +39,15 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -611,6 +614,7 @@ void run_index(const RunConfig& cfg, const char* name) {
     }
     // Counter deltas are taken AFTER warmup so the attributed window covers
     // exactly the measured reps (cells run sequentially; see MetricsSnapshot).
+    obs::limbo_peak_reset();
     const obs::MetricsSnapshot snap0 = obs::snapshot();
     RowResult r = run_cell<K, V>(idx, cfg, threads, chooser);
     for (int rep = 1; rep < cfg.reps; ++rep) {
@@ -666,6 +670,29 @@ struct CliOptions {
   std::string trace_path;    // --trace=<file>: binary event-trace dump
 };
 
+// The whole of `text` as a finite number of type T, at least 0 (or above 0
+// when `positive`). Anything else, including trailing junk, prints the flag's
+// whole `value` and exits 2 like an unknown --index=.
+template <class T>
+T parse_number(const char* flag, std::string_view value, bool positive,
+               std::string_view text) {
+  T v{};
+  const char* end = text.data() + text.size();
+  const auto [p, ec] = std::from_chars(text.data(), end, v);
+  if (ec != std::errc{} || p != end || !(positive ? v > 0 : v >= 0) ||
+      !std::isfinite(static_cast<double>(v))) {
+    std::fprintf(stderr, "invalid --%s=%.*s\n", flag,
+                 static_cast<int>(value.size()), value.data());
+    std::exit(2);
+  }
+  return v;
+}
+
+template <class T>
+T parse_number(const char* flag, std::string_view value, bool positive) {
+  return parse_number<T>(flag, value, positive, value);
+}
+
 inline CliOptions parse_cli(int argc, char** argv) {
   CliOptions o;
   for (int i = 1; i < argc; ++i) {
@@ -680,21 +707,23 @@ inline CliOptions parse_cli(int argc, char** argv) {
       o.warmup = 10.0;
       o.threads = {8, 16, 32, 48, 64, 80, 96};
     } else if (a.rfind("--seconds=", 0) == 0) {
-      o.seconds = std::stod(val("--seconds="));
+      o.seconds = parse_number<double>("seconds", val("--seconds="), true);
     } else if (a.rfind("--warmup=", 0) == 0) {
-      o.warmup = std::stod(val("--warmup="));
+      o.warmup = parse_number<double>("warmup", val("--warmup="), false);
     } else if (a.rfind("--entries=", 0) == 0) {
-      o.entries = std::stoull(val("--entries="));
+      o.entries =
+          parse_number<std::uint64_t>("entries", val("--entries="), true);
     } else if (a.rfind("--threads=", 0) == 0) {
       o.threads.clear();
-      std::string list = val("--threads=");
+      const std::string_view list = val("--threads=");
       std::size_t pos = 0;
-      while (pos < list.size()) {
+      do {
         std::size_t comma = list.find(',', pos);
-        if (comma == std::string::npos) comma = list.size();
-        o.threads.push_back(std::stoi(list.substr(pos, comma - pos)));
+        if (comma == std::string_view::npos) comma = list.size();
+        o.threads.push_back(parse_number<int>(
+            "threads", list, true, list.substr(pos, comma - pos)));
         pos = comma + 1;
-      }
+      } while (pos <= list.size());
     } else if (a.rfind("--index=", 0) == 0) {
       o.only_index = val("--index=");
       if (o.only_index != "jiffy" && o.only_index != "cslm" &&
@@ -714,9 +743,9 @@ inline CliOptions parse_cli(int argc, char** argv) {
     } else if (a == "--no-batches") {
       o.skip_batches = true;
     } else if (a.rfind("--reps=", 0) == 0) {
-      o.reps = std::max(1, std::stoi(val("--reps=")));
+      o.reps = parse_number<int>("reps", val("--reps="), true);
     } else if (a.rfind("--rate=", 0) == 0) {
-      o.rate = std::stod(val("--rate="));
+      o.rate = parse_number<double>("rate", val("--rate="), false);
     } else if (a.rfind("--metrics=", 0) == 0) {
       o.metrics_path = val("--metrics=");
     } else if (a.rfind("--trace=", 0) == 0) {

@@ -1,8 +1,8 @@
 // Component microbenchmarks (google-benchmark):
 //   * clock sources — the paper quotes ~10 ns for RDTSCP and relies on it
 //     being far cheaper than a contended atomic counter;
-//   * revision operations — build, clone, hash-index lookup vs binary search
-//     (ablation A2's inner loop), across the paper's 25..300 size range;
+//   * revision operations — build and binary-search lookup, across the
+//     paper's 25..300 size range;
 //   * EBR guard and retire costs.
 #include <benchmark/benchmark.h>
 
@@ -42,8 +42,7 @@ BENCHMARK(BM_ClockAtomicCounter)->Threads(1)->Threads(2)->Threads(4);
 // ---- revisions ----------------------------------------------------------------
 
 using Rev = Revision<std::uint64_t, std::uint64_t>;
-using Bld = RevisionBuilder<std::uint64_t, std::uint64_t,
-                            std::hash<std::uint64_t>>;
+using Bld = RevisionBuilder<std::uint64_t, std::uint64_t>;
 
 Rev* make_revision(std::uint32_t n) {
   Bld b(RevKind::kPlain, n, 1);
@@ -63,32 +62,18 @@ void BM_RevisionBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_RevisionBuild)->Arg(25)->Arg(100)->Arg(300);
 
-void BM_RevisionFindHashIndex(benchmark::State& state) {
+void BM_RevisionFind(benchmark::State& state) {
   const auto n = static_cast<std::uint32_t>(state.range(0));
   Rev* r = make_revision(n);
   Rng rng(5);
   std::less<std::uint64_t> lt;
   for (auto _ : state) {
     const std::uint64_t k = rng.next_below(n) * 2;
-    benchmark::DoNotOptimize(
-        r->find(k, fold_hash16(std::hash<std::uint64_t>{}(k)), lt));
+    benchmark::DoNotOptimize(r->find(k, lt));
   }
   Rev::unref(r, true);
 }
-BENCHMARK(BM_RevisionFindHashIndex)->Arg(25)->Arg(100)->Arg(300);
-
-void BM_RevisionFindBinary(benchmark::State& state) {
-  const auto n = static_cast<std::uint32_t>(state.range(0));
-  Rev* r = make_revision(n);
-  Rng rng(5);
-  std::less<std::uint64_t> lt;
-  for (auto _ : state) {
-    const std::uint64_t k = rng.next_below(n) * 2;
-    benchmark::DoNotOptimize(r->find_binary(k, lt));
-  }
-  Rev::unref(r, true);
-}
-BENCHMARK(BM_RevisionFindBinary)->Arg(25)->Arg(100)->Arg(300);
+BENCHMARK(BM_RevisionFind)->Arg(25)->Arg(100)->Arg(300);
 
 // ---- EBR ------------------------------------------------------------------------
 

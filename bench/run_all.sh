@@ -53,7 +53,7 @@ for fig in fig5_uniform_16_100 fig6_uniform_4_4 fig8_zipf_16_100 fig10_zipf_4_4;
   done
 done
 
-for abl in ablation_clock ablation_hash_index ablation_revision_size; do
+for abl in ablation_clock ablation_revision_size; do
   out="$OUT_DIR/${abl}_${stamp}.csv"
   echo "== $abl -> $out"
   # shellcheck disable=SC2086

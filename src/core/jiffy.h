@@ -4,7 +4,7 @@
 // Layout (DESIGN.md has the full story):
 //   * The bottom level is a linked list of *fat nodes*; each node owns a key
 //     range [anchor, next->anchor) and points to an immutable Revision — a
-//     sorted array of entries plus an optional two-slot hash index (§3.3.5).
+//     sorted array of entries, searched by binary search (DESIGN.md §3).
 //     A skip-list tower over the nodes (grown at node creation, never
 //     removed) gives O(log n) node location.
 //   * Every update builds a new revision and CASes the node's revision
@@ -111,16 +111,6 @@ enum class RevKind : std::uint8_t {
   kAbsorbed,  // tombstone marker: this node's content moved to rev->home
 };
 
-// Fold an arbitrary std::hash result to the 16-bit tag the revision hash
-// index stores (std::hash<integral> is the identity, so mix here).
-inline std::uint16_t fold_hash16(std::size_t h) {
-  std::uint64_t x = h;
-  x ^= x >> 33;
-  x *= 0xFF51AFD7ED558CCDull;
-  x ^= x >> 29;
-  return static_cast<std::uint16_t>(x ^ (x >> 16));
-}
-
 // Shared version for multi-revision atomic installs (splits, batches and
 // merges). A batch cell additionally owns the published BatchDescriptor
 // (type-erased here so the cell stays untemplated); it is freed with the
@@ -168,7 +158,6 @@ struct JiffyNode;
 template <class K, class V>
 struct Revision {
   using Entry = std::pair<K, V>;
-  static constexpr std::uint32_t kEmptySlot = 0xFFFFFFFFu;
 
   RevKind kind = RevKind::kPlain;
   std::atomic<std::uint64_t> version{kPendingVersion};
@@ -187,51 +176,11 @@ struct Revision {
                                      // here by a tombstone re-route"; same
                                      // width as BatchDescriptor::installed
                                      // so huge batches cannot wrap it
-  std::uint32_t hmask = 0;  // hash bucket count - 1; 0 = no index built
   std::uint32_t alloc_bytes = 0;  // block size allocate() drew, for dispose()
-
-  // The hash index lives *inline* after the entry array (DESIGN.md §14):
-  // per-bucket overflow bitmap first (u64-aligned), then the 2-slots-per-
-  // bucket table. One allocation per revision instead of three — the update
-  // path's dominant malloc/free traffic — and a lookup touches index and
-  // entries in one contiguous block instead of chasing two vector heads.
-  // Layout is a pure function of `cap`, so the accessors need no extra
-  // fields; allocate() reserves the space only when the builder wants an
-  // index (cfg.hash_index) and the slot format can address every entry
-  // (cap <= 0xFFFF: slots keep the entry index in their low 16 bits).
-
-  static std::uint32_t index_buckets(std::uint32_t capacity) {
-    std::uint32_t b = 4;
-    while (b < capacity) b <<= 1;
-    return b;
-  }
 
   static constexpr std::size_t entry_offset() {
     return (sizeof(Revision) + alignof(Entry) - 1) / alignof(Entry) *
            alignof(Entry);
-  }
-
-  static std::size_t index_offset(std::uint32_t capacity) {
-    return (entry_offset() + std::size_t{capacity} * sizeof(Entry) +
-            alignof(std::uint64_t) - 1) &
-           ~(alignof(std::uint64_t) - 1);
-  }
-
-  std::uint64_t* hoverflow_data() {
-    return reinterpret_cast<std::uint64_t*>(
-        reinterpret_cast<unsigned char*>(this) + index_offset(cap));
-  }
-  const std::uint64_t* hoverflow_data() const {
-    return reinterpret_cast<const std::uint64_t*>(
-        reinterpret_cast<const unsigned char*>(this) + index_offset(cap));
-  }
-  std::uint32_t* hslots_data() {
-    return reinterpret_cast<std::uint32_t*>(hoverflow_data() +
-                                            (index_buckets(cap) + 63) / 64);
-  }
-  const std::uint32_t* hslots_data() const {
-    return reinterpret_cast<const std::uint32_t*>(
-        hoverflow_data() + (index_buckets(cap) + 63) / 64);
   }
 
   Entry* entry_data() {
@@ -249,19 +198,13 @@ struct Revision {
   std::span<const Entry> entries() const { return {entry_data(), count}; }
   bool empty() const { return count == 0; }
 
-  static Revision* allocate(std::uint32_t capacity, bool with_index = true) {
+  static Revision* allocate(std::uint32_t capacity) {
     // Plain ::operator new only guarantees the default alignment; the
     // inline array would silently misalign an over-aligned Entry type.
     static_assert(alignof(Entry) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__,
                   "over-aligned key/value types need an aligned allocator");
     std::size_t bytes =
         entry_offset() + std::size_t{capacity} * sizeof(Entry);
-    if (with_index && capacity <= 0xFFFF) {
-      const std::uint32_t buckets = index_buckets(capacity);
-      bytes = index_offset(capacity) +
-              std::size_t{(buckets + 63) / 64} * sizeof(std::uint64_t) +
-              std::size_t{buckets} * 2 * sizeof(std::uint32_t);
-    }
     // Revisions cycle at op rate (every update builds one and retires one),
     // so draw from the per-thread block cache: the most recently disposed
     // same-class block comes back first, skipping the allocator round trip
@@ -346,34 +289,10 @@ struct Revision {
   }
 
   template <class Less>
-  const Entry* find_binary(const K& k, const Less& less) const {
+  const Entry* find(const K& k, const Less& less) const {
     const Entry* it = lower_bound_pos(k, less);
     if (it == end() || less(k, it->first)) return nullptr;
     return it;
-  }
-
-  // Hash-index lookup (§3.3.5): probe the key's two slots. An empty slot is
-  // a definitive miss (a key is only dropped from the table when its bucket
-  // is full), and so is a full bucket with no tag match unless that bucket
-  // overflowed during the build — only then fall back to binary search.
-  template <class Less>
-  const Entry* find(const K& k, std::uint16_t h16, const Less& less) const {
-    if (hmask != 0) {
-      const std::uint32_t* slots = hslots_data();
-      const std::uint32_t bucket = static_cast<std::uint32_t>(h16) & hmask;
-      const std::uint32_t base = bucket * 2;
-      for (int s = 0; s < 2; ++s) {
-        const std::uint32_t slot = slots[base + s];
-        if (slot == kEmptySlot) return nullptr;
-        if ((slot >> 16) == h16) {
-          const Entry& e = entry_data()[slot & 0xFFFFu];
-          if (!less(e.first, k) && !less(k, e.first)) return &e;
-        }
-      }
-      if (!((hoverflow_data()[bucket >> 6] >> (bucket & 63)) & 1))
-        return nullptr;
-    }
-    return find_binary(k, less);
   }
 
   static void unref(Revision* r, bool immediate = false) {
@@ -392,17 +311,16 @@ struct Revision {
   }
 };
 
-// Builds a revision from entries emitted in ascending key order, then seals
-// it (optionally constructing the hash index) in finish().
-template <class K, class V, class Hash = std::hash<K>>
+// Builds a revision from entries emitted in ascending key order; finish()
+// hands it over.
+template <class K, class V>
 class RevisionBuilder {
  public:
   using Rev = Revision<K, V>;
 
   RevisionBuilder(RevKind kind, std::uint32_t capacity,
-                  std::uint64_t version = kPendingVersion,
-                  bool hash_index = true)
-      : rev_(Rev::allocate(capacity, hash_index)), hash_index_(hash_index) {
+                  std::uint64_t version = kPendingVersion)
+      : rev_(Rev::allocate(capacity)) {
     rev_->kind = kind;
     // relaxed: the revision is thread-private until the install CAS.
     rev_->version.store(version, std::memory_order_relaxed);
@@ -424,38 +342,11 @@ class RevisionBuilder {
   Rev* finish() {
     Rev* r = rev_;
     rev_ = nullptr;
-    const std::uint32_t n = r->count;
-    if (hash_index_ && n > 0 && n <= 0xFFFF) {
-      // Build the index in the space allocate() reserved inline; the table
-      // is sized by cap (== n for every engine build path), so the layout
-      // accessors reproduce these addresses from cap alone.
-      const std::uint32_t buckets = Rev::index_buckets(r->cap);
-      r->hmask = buckets - 1;
-      std::uint32_t* slots = r->hslots_data();
-      std::uint64_t* overflow = r->hoverflow_data();
-      std::fill_n(slots, std::size_t{buckets} * 2, Rev::kEmptySlot);
-      std::fill_n(overflow, (buckets + 63) / 64, std::uint64_t{0});
-      for (std::uint32_t i = 0; i < n; ++i) {
-        const std::uint16_t tag = fold_hash16(Hash{}(r->entry(i).first));
-        const std::uint32_t bucket = static_cast<std::uint32_t>(tag) & r->hmask;
-        const std::uint32_t base = bucket * 2;
-        if (slots[base] == Rev::kEmptySlot)
-          slots[base] = (static_cast<std::uint32_t>(tag) << 16) | i;
-        else if (slots[base + 1] == Rev::kEmptySlot)
-          slots[base + 1] = (static_cast<std::uint32_t>(tag) << 16) | i;
-        else {
-          // Bucket full: this key is findable only by binary search; mark
-          // the bucket so only its misses pay the fallback.
-          overflow[bucket >> 6] |= 1ull << (bucket & 63);
-        }
-      }
-    }
     return r;
   }
 
  private:
   Rev* rev_;
-  bool hash_index_;
 };
 
 // A fat node: a key range plus the head of its revision chain. `next[0]` is
@@ -518,7 +409,6 @@ struct JiffyConfig {
                                   // linked-shell count crosses `threshold`
     std::uint32_t threshold = 512;
   } reclaim;
-  bool hash_index = true;
 };
 
 // Time-weighted EMA of the read fraction driving the revision-size target
@@ -637,8 +527,7 @@ class Snapshot;
 template <class MapT>
 class SnapCursor;
 
-template <class K, class V, class Less = std::less<K>,
-          class Hash = std::hash<K>, class Clock = TscClock>
+template <class K, class V, class Less = std::less<K>, class Clock = TscClock>
 class JiffyMap {
  public:
   using key_type = K;
@@ -667,8 +556,7 @@ class JiffyMap {
   explicit JiffyMap(const JiffyConfig& cfg)
       : cfg_(cfg), scaler_(byte_scaled(cfg.autoscaler)) {
     head_ = new Node(Node::kMaxHeight, /*head=*/true, K{});
-    RevisionBuilder<K, V, Hash> b(RevKind::kPlain, 0, /*version=*/0,
-                                  cfg_.hash_index);
+    RevisionBuilder<K, V> b(RevKind::kPlain, 0, /*version=*/0);
     head_->rev.store(b.finish(), std::memory_order_release);  // pairs: rev-install
     head_->birth.store(0, std::memory_order_release);  // pairs: birth-stamp
   }
@@ -714,7 +602,7 @@ class JiffyMap {
       auto [x, r] = locate(k, g);
       if (wait_writable(x, r, g) != r) continue;  // head moved: re-route
       if (r->kind == RevKind::kAbsorbed) continue;  // merge committed here
-      const Entry* hit = r->find_binary(k, less_);
+      const Entry* hit = r->find(k, less_);
       const std::uint32_t n = r->count;
       const std::uint32_t newn = hit ? n : n + 1;
       const std::uint32_t maxsz = effective_max_size();
@@ -726,8 +614,7 @@ class JiffyMap {
         JIFFY_COUNT(cas_install_lost);
         continue;
       }
-      RevisionBuilder<K, V, Hash> b(RevKind::kPlain, newn, kPendingVersion,
-                                    cfg_.hash_index);
+      RevisionBuilder<K, V> b(RevKind::kPlain, newn, kPendingVersion);
       bool placed = false;
       for (const Entry& e : r->entries()) {
         if (!placed && less_(k, e.first)) {
@@ -763,9 +650,8 @@ class JiffyMap {
       auto [x, r] = locate(k, g);
       if (wait_writable(x, r, g) != r) continue;  // head moved: re-route
       if (r->kind == RevKind::kAbsorbed) continue;  // merge committed here
-      if (!r->find_binary(k, less_)) return false;
-      RevisionBuilder<K, V, Hash> b(RevKind::kPlain, r->count - 1,
-                                    kPendingVersion, cfg_.hash_index);
+      if (!r->find(k, less_)) return false;
+      RevisionBuilder<K, V> b(RevKind::kPlain, r->count - 1, kPendingVersion);
       for (const Entry& e : r->entries())
         if (less_(e.first, k) || less_(k, e.first)) b.emit(e.first, e.second);
       Rev* nr = b.finish();
@@ -1442,8 +1328,7 @@ class JiffyMap {
     std::vector<Node*> new_nodes;
     for (std::uint32_t p = nparts; p-- > 1;) {
       auto [plo, phi] = parts[p];
-      RevisionBuilder<K, V, Hash> b(RevKind::kPlain, phi - plo,
-                                    kPendingVersion, cfg_.hash_index);
+      RevisionBuilder<K, V> b(RevKind::kPlain, phi - plo, kPendingVersion);
       for (std::uint32_t e = plo; e < phi; ++e)
         b.emit(merged[e].first, merged[e].second);
       Rev* rp = b.finish();
@@ -1469,8 +1354,8 @@ class JiffyMap {
         left = new_nodes[q];
       }
     }
-    RevisionBuilder<K, V, Hash> b0(RevKind::kPlain, parts[0].second,
-                                   kPendingVersion, cfg_.hash_index);
+    RevisionBuilder<K, V> b0(RevKind::kPlain, parts[0].second,
+                             kPendingVersion);
     for (std::uint32_t e = parts[0].first; e < parts[0].second; ++e)
       b0.emit(merged[e].first, merged[e].second);
     Rev* rlow = b0.finish();
@@ -1544,7 +1429,7 @@ class JiffyMap {
     // relaxed: the cell is thread-private until the marker CAS publishes.
     cell->refs.store(1, std::memory_order_relaxed);  // writer's reference
 
-    auto* marker = Rev::allocate(0, /*with_index=*/false);
+    auto* marker = Rev::allocate(0);
     marker->kind = RevKind::kAbsorbed;
     marker->cell = cell;
     // relaxed: pre-publication refcount bump; the marker CAS publishes.
@@ -1552,9 +1437,9 @@ class JiffyMap {
     marker->prev = rs;
     marker->home = x;
 
-    RevisionBuilder<K, V, Hash> b(RevKind::kMerge,
-                                  static_cast<std::uint32_t>(combined),
-                                  kPendingVersion, cfg_.hash_index);
+    RevisionBuilder<K, V> b(RevKind::kMerge,
+                            static_cast<std::uint32_t>(combined),
+                            kPendingVersion);
     for (const Entry& e : rx->entries()) b.emit(e.first, e.second);
     for (const Entry& e : rs->entries()) b.emit(e.first, e.second);
     Rev* merged = b.finish();
@@ -1578,8 +1463,7 @@ class JiffyMap {
       // x changed under us: undo s by restoring its content over the
       // marker. Nobody else replaces a pending marker (writers spin on it,
       // other merges skip pending heads), so this CAS cannot fail.
-      RevisionBuilder<K, V, Hash> rb(RevKind::kPlain, rs->count,
-                                     kPendingVersion, cfg_.hash_index);
+      RevisionBuilder<K, V> rb(RevKind::kPlain, rs->count, kPendingVersion);
       for (const Entry& e : rs->entries()) rb.emit(e.first, e.second);
       Rev* restore = rb.finish();
       restore->prev = marker;
@@ -1751,9 +1635,9 @@ class JiffyMap {
                        std::size_t i, std::size_t j, VersionCell* cell,
                        [[maybe_unused]] const ebr::Guard& g)
       JIFFY_REQUIRES_GUARD(g) {
-    RevisionBuilder<K, V, Hash> b(
+    RevisionBuilder<K, V> b(
         RevKind::kBatch, static_cast<std::uint32_t>(r->count + (j - i)),
-        kPendingVersion, cfg_.hash_index);
+        kPendingVersion);
     const Entry* it = r->begin();
     const Entry* const end = r->end();
     for (std::size_t o = i; o < j; ++o) {
@@ -1800,7 +1684,7 @@ class JiffyMap {
       // stamped since: the merge committed and k now lives in the absorber,
       // so re-route rather than miss on the marker's empty array.
       if (r->kind == RevKind::kAbsorbed) continue;
-      return r->find(k, fold_hash16(hash_(k)), less_);
+      return r->find(k, less_);
     }
   }
 
@@ -2068,7 +1952,6 @@ class JiffyMap {
 
   JiffyConfig cfg_;
   Less less_{};
-  Hash hash_{};
   Clock clock_{};
   mutable RevisionAutoscaler scaler_;
   // Hot shared state below is cacheline-padded so independently-written

@@ -113,6 +113,13 @@ class StripedMax {
     return m;
   }
 
+  void reset() {
+    for (Slot& s : slots_)
+      // relaxed: runs between bench cells, with no workers alive; the next
+      // cell's threads are started (and so ordered) after it.
+      s.v.store(0, std::memory_order_relaxed);
+  }
+
  private:
   struct alignas(kCacheLineBytes) Slot {
     std::atomic<std::int64_t> v{0};
@@ -140,10 +147,15 @@ inline void limbo_peak_raise(std::int64_t v) {
   detail::registry().limbo_peak.raise(v);
 }
 
+// Restart the limbo high-water mark, so the next window's snapshot reports
+// its own peak. Only call it while no thread can raise the gauge.
+inline void limbo_peak_reset() { detail::registry().limbo_peak.reset(); }
+
 #else  // !JIFFY_OBS
 
 inline void count(Ev, std::int64_t = 1) {}
 inline void limbo_peak_raise(std::int64_t) {}
+inline void limbo_peak_reset() {}
 
 #endif  // JIFFY_OBS
 
@@ -151,7 +163,8 @@ inline void limbo_peak_raise(std::int64_t) {}
 // operator- yields the per-window delta the harness attributes to one bench
 // cell (cells run sequentially, so process-global deltas are exact). Note
 // limbo_peak is a high-water mark, not a sum: its "delta" is the end-window
-// absolute peak, which dominates the start-window one.
+// absolute peak since the last limbo_peak_reset(), which the fig harness
+// calls before each cell's window.
 struct MetricsSnapshot {
   std::array<std::int64_t, kEventCount> events{};
   std::int64_t limbo_peak = 0;

@@ -1,5 +1,5 @@
 // Unit checks for the supporting subsystems: clocks, RNG + distributions,
-// key/value codecs, FixedBytes ordering, revision builder + hash index,
+// key/value codecs, FixedBytes ordering, revision builder + block layout,
 // the thread-local block cache, EBR, and the CSLM baseline (sequential and a
 // short 4-thread shake).
 #include <atomic>
@@ -111,27 +111,34 @@ void test_revision_builder() {
     CHECK_EQ(r->entries().size(), std::size_t{n});
     for (std::uint32_t i = 0; i < n; ++i) {
       const auto key = std::uint64_t{i} * 3;
-      const auto h = fold_hash16(std::hash<std::uint64_t>{}(key));
-      const auto* e1 = r->find(key, h, lt);
-      const auto* e2 = r->find_binary(key, lt);
-      CHECK(e1 && e2);
-      CHECK_EQ(e1->second, i + 1);
-      CHECK_EQ(e2->second, i + 1);
-      // Misses agree too (keys = multiples of 3; probe the gaps).
-      const auto miss = key + 1;
-      CHECK(!r->find(miss, fold_hash16(std::hash<std::uint64_t>{}(miss)), lt));
-      CHECK(!r->find_binary(miss, lt));
+      const auto* e = r->find(key, lt);
+      CHECK(e);
+      CHECK_EQ(e->second, i + 1);
+      // Keys are multiples of 3; probe the gaps on both sides for misses.
+      CHECK(!r->find(key + 1, lt));
+      CHECK(!r->find(key + 2, lt));
     }
     Rev::unref(r, /*immediate=*/true);
   }
+}
 
-  // hash_index=false builds no table and still finds everything.
-  Bld b(RevKind::kPlain, 10, 1, /*hash_index=*/false);
-  for (std::uint32_t i = 0; i < 10; ++i) b.emit(i, i);
-  Rev* r = b.finish();
-  CHECK(r->hmask == 0);
-  CHECK(r->find(5, fold_hash16(std::hash<std::uint64_t>{}(5)), lt));
-  Rev::unref(r, true);
+// A revision block is exactly [Revision][entries], rounded only by the block
+// cache's size classes: nothing else is reserved per revision.
+template <class K, class V>
+void check_revision_layout() {
+  using Rev = Revision<K, V>;
+  for (std::uint32_t n : {0u, 1u, 25u, 300u}) {
+    Rev* r = Rev::allocate(n);
+    CHECK_EQ(std::size_t{r->alloc_bytes},
+             ThreadBlockCache::usable_size(Rev::entry_offset() +
+                                           n * sizeof(typename Rev::Entry)));
+    Rev::dispose(r);
+  }
+}
+
+void test_revision_layout() {
+  check_revision_layout<std::uint64_t, std::uint64_t>();
+  check_revision_layout<Key16, Value100>();
 }
 
 void test_block_cache() {
@@ -264,6 +271,7 @@ int main() {
   test_rng_and_chooser();
   test_codecs();
   test_revision_builder();
+  test_revision_layout();
   test_block_cache();
   test_ebr();
   test_cslm();

@@ -1,7 +1,7 @@
 // Cursor / range API v2 guarantees:
 //   * randomized differential test of Snapshot cursors (seek, seek_for_prev,
 //     first/last, next/prev) and range(lo, hi) views against a std::map
-//     oracle, single-threaded, across revision-size / hash-index configs;
+//     oracle, single-threaded, across revision-size configs;
 //   * under concurrent writers: the reverse cursor returns exactly the
 //     reversed sequence of the forward cursor for the same version, and a
 //     range view equals the forward sequence clipped to [lo, hi);
@@ -29,11 +29,10 @@ namespace {
 using Map = JiffyMap<std::uint64_t, std::uint64_t>;
 using KV = std::pair<std::uint64_t, std::uint64_t>;
 
-JiffyConfig cfg_fixed(std::uint32_t size, bool hash) {
+JiffyConfig cfg_fixed(std::uint32_t size) {
   JiffyConfig c;
   c.autoscaler.enabled = false;
   c.autoscaler.fixed_size = size;
-  c.hash_index = hash;
   return c;
 }
 
@@ -206,7 +205,7 @@ void test_cursor_oracle(const JiffyConfig& cfg) {
 // returns exactly the reversed forward sequence at the same version, and
 // range views are the clipped forward sequence.
 void test_reverse_equals_forward_concurrent() {
-  JiffyConfig cfg = cfg_fixed(8, true);  // tiny revisions: many splits/merges
+  JiffyConfig cfg = cfg_fixed(8);  // tiny revisions: many splits/merges
   Map m(cfg);
   constexpr std::uint64_t kSpace = 4'000;
   for (std::uint64_t i = 0; i < kSpace / 2; ++i)
@@ -285,7 +284,7 @@ void test_reverse_equals_forward_concurrent() {
 // Snapshot stability iterating backward: a snapshot's reverse walk is frozen
 // while the map mutates underneath (including splits and merges).
 void test_backward_snapshot_stability() {
-  JiffyConfig cfg = cfg_fixed(6, true);
+  JiffyConfig cfg = cfg_fixed(6);
   Map m(cfg);
   constexpr std::uint64_t kSpace = 3'000;
   for (std::uint64_t i = 0; i < kSpace / 2; ++i) m.put(splitmix64(i), i);
@@ -406,9 +405,8 @@ void check_map_surface(const char* name) {
 }  // namespace
 
 int main() {
-  test_cursor_oracle(cfg_fixed(8, true));
-  test_cursor_oracle(cfg_fixed(8, false));
-  test_cursor_oracle(cfg_fixed(64, true));
+  test_cursor_oracle(cfg_fixed(8));
+  test_cursor_oracle(cfg_fixed(64));
   {
     JiffyConfig auto_cfg;  // autoscaler on, default sizes
     test_cursor_oracle(auto_cfg);

@@ -67,6 +67,25 @@ void test_counters_exact() {
   std::puts("counters: exact under churn");
 }
 
+// ---- limbo peak: a reset starts a fresh window -----------------------------
+// test_counters_exact left the gauge at 100+. After a reset, a window whose
+// threads raise it to at most 7 must report 7, not the earlier peak.
+void test_limbo_peak_reset() {
+  jiffy::obs::limbo_peak_reset();
+  const MetricsSnapshot before = jiffy::obs::snapshot();
+  std::vector<std::thread> ts;
+  for (int t = 0; t < 4; ++t)
+    ts.emplace_back([t] { JIFFY_COUNT_MAX_LIMBO(4 + t); });
+  for (auto& t : ts) t.join();
+  const MetricsSnapshot d = jiffy::obs::snapshot() - before;
+#if JIFFY_OBS
+  CHECK_EQ(d.limbo_peak, 7);
+#else
+  CHECK_EQ(d.limbo_peak, 0);
+#endif
+  std::puts("limbo peak: reset per window");
+}
+
 // ---- histogram: bucket math + percentiles vs sorted oracle -----------------
 void test_histogram_buckets() {
   // index_of/upper_edge are inverses on bucket edges, and every value maps
@@ -262,6 +281,7 @@ int main() {
 #endif
 
   test_counters_exact();
+  test_limbo_peak_reset();
   test_histogram_buckets();
   test_histogram_percentiles();
 #if JIFFY_OBS
