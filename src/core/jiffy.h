@@ -54,6 +54,8 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <functional>
 #include <new>
 #include <optional>
@@ -108,7 +110,8 @@ enum class RevKind : std::uint8_t {
   kPlain,     // single-key update (or split part)
   kBatch,     // member of an atomic batch (§3.4)
   kMerge,     // union revision absorbing the successor node (§3.3.6)
-  kAbsorbed,  // tombstone marker: this node's content moved to rev->home
+  kAbsorbed,  // tombstone marker: this node's content moved into the live
+              // node before it (the merge's absorber)
 };
 
 // Shared version for multi-revision atomic installs (splits, batches and
@@ -165,10 +168,10 @@ struct Revision {
   Revision* prev = nullptr;          // the revision this one replaced
   JiffyNode<K, V>* sibling = nullptr;    // split: first new right-hand node
   JiffyNode<K, V>* link_expect = nullptr;  // split: next[0] value to CAS from
-  JiffyNode<K, V>* home = nullptr;   // kAbsorbed: the node that absorbed us
   std::atomic<std::uint32_t> link_refs{1};
   std::uint32_t count = 0;           // constructed entries in the inline array
   std::uint32_t cap = 0;             // inline array capacity (allocation size)
+  std::uint32_t alloc_bytes = 0;     // block size allocate() drew
   std::size_t batch_hi = 0;          // kBatch: end (excl.) of the op group
                                      // this revision applied — lets helpers
                                      // tell "group installed, watermark
@@ -176,7 +179,6 @@ struct Revision {
                                      // here by a tombstone re-route"; same
                                      // width as BatchDescriptor::installed
                                      // so huge batches cannot wrap it
-  std::uint32_t alloc_bytes = 0;  // block size allocate() drew, for dispose()
 
   static constexpr std::size_t entry_offset() {
     return (sizeof(Revision) + alignof(Entry) - 1) / alignof(Entry) *
@@ -350,32 +352,40 @@ class RevisionBuilder {
 };
 
 // A fat node: a key range plus the head of its revision chain. `next[0]` is
-// the bottom-level list; higher next slots form the search tower. Nodes are
-// never removed, so towers need no marks.
+// the bottom-level list; higher next slots form the search tower. Nodes
+// leave the structure only through the purge pass (DESIGN.md §9), which
+// marks a condemned node's tower slots (low pointer bit, see tower_mark)
+// before unlinking it from each level, so no insert can land behind it.
 //
 // `back` makes the bottom level doubly linked (paper §3.1) for reverse
-// cursors: a best-effort hint that always points to a *strict list
-// predecessor* — nodes are never unlinked and never reordered, so every
-// back edge moves strictly left in list position and back-chains terminate
-// at the head. (Anchors usually shrink along a back edge too, but may tie
-// with a tombstone's, or even grow when a merge victim's hint is later
-// retargeted at a resplit part, so termination must not be argued from
-// anchors.) The hint is not necessarily the immediate predecessor —
-// pred_at() re-validates with a forward walk and tightens it.
+// cursors: a best-effort hint to a *strict list predecessor* — nodes are
+// never reordered, so every back edge moves strictly left in list position
+// and back-chains terminate at the head. Anchors do not order the list (a
+// tombstone keeps its place while its absorber splits in front of it, so
+// an anchor may tie or even grow along a back edge), so termination must
+// not be argued from anchors. The hint is *local*: only dead nodes lie
+// between a node and its hint target (set_back keeps it so), which is what
+// lets the purge pass find every hint into a shell it unlinks by looking
+// at the shell's level-0 neighbourhood. pred_at() re-validates with a
+// forward walk.
 template <class K, class V>
 struct JiffyNode {
   static constexpr int kMaxHeight = 20;
 
   const int height;
   const bool is_head;
+  // Set (once, never cleared) by the purge pass on a dead tombstone it is
+  // about to unlink: writers that could otherwise re-publish a link to the
+  // node check it first (install_split, pred_at, set_back, index_insert).
+  // Sits beside is_head so the node header keeps its size. See DESIGN.md §9.
+  std::atomic<bool> condemned{false};
   const K anchor;
   std::atomic<std::uint64_t> birth{kPendingVersion};
   std::atomic<Revision<K, V>*> rev{nullptr};
   std::atomic<JiffyNode*> back{nullptr};
-  // Set (once, never cleared) by the purge pass on a dead tombstone it is
-  // about to unlink: writers that could otherwise re-publish a link to the
-  // node check it first (install_split, pred_at). See DESIGN.md §9.
-  std::atomic<bool> condemned{false};
+  // Link in the map's pending-shell stack: written by the merger before the
+  // push CAS publishes it, read by the purger after the pop exchange.
+  JiffyNode* pending_next = nullptr;
   std::vector<std::atomic<JiffyNode*>> next;
 
   JiffyNode(int h, bool head, K a)
@@ -563,14 +573,16 @@ class JiffyMap {
 
   ~JiffyMap() {
     // A condemned shell may still be reachable: purge()'s bounded loop can
-    // exit with a re-published link (or a lost sweep CAS) left for "a later
-    // call" that never came. Destruction is single-threaded, so sweeps make
-    // monotonic progress — run them until clean, after which every pending
-    // shell really is off the chain and safe to free before the walk below.
+    // exit with a re-published link (or a lost unlink CAS) left for "a later
+    // call" that never came. Destruction is single-threaded, so unlink
+    // passes make monotonic progress — run them until clean, after which
+    // every condemned shell really is off every level and safe to free
+    // before the walk below (which frees every still-linked node, the
+    // shells still waiting for the watermark included).
     if (!purge_pending_.empty()) {
       ebr::Guard g;
       g.assert_held();
-      while (purge_sweep(g) != 0) {
+      while (purge_unlink_pass(g) != 0) {
       }
     }
     for (Node* n : purge_pending_) delete_dead_node(n);
@@ -803,28 +815,30 @@ class JiffyMap {
   // version ticket (snapshots, cursors, in-flight scans — see
   // ebr::min_active_version). Cooperative and incremental; one pass runs at
   // a time (concurrent calls return 0) and a pass advances a small state
-  // machine:
-  //   collect  read every stamped tombstone's death version, THEN the
-  //            watermark (that order makes a racing, unseen ticket's pinned
-  //            version provably exceed every collected stamp — see
-  //            purge_collect), and condemn the shells below it (flag set
-  //            once, never cleared),
-  //   sweep    splice condemned nodes out of level 0 and out of every tower
-  //            slot of every node, and retarget back hints off them,
-  //   drain    wait for the EBR epoch to advance twice past the sweep — any
-  //            operation that read a pointer to a shell before it was
+  // machine whose cost is O(shells · log n), not O(n) (DESIGN.md §9):
+  //   collect  pop the shells merges pushed onto the pending stack, read
+  //            their death versions, THEN the watermark (that order makes a
+  //            racing, unseen ticket's pinned version provably exceed every
+  //            collected stamp — see purge_collect), and condemn the shells
+  //            below it (flag set once, never cleared); the rest wait for a
+  //            later pass,
+  //   unlink   for each condemned shell, a key-directed search snips it out
+  //            of every tower level and out of level 0, and retargets the
+  //            back hints in its level-0 neighbourhood,
+  //   drain    wait for the EBR epoch to advance twice past the unlink —
+  //            any operation that read a pointer to a shell before it was
   //            condemned ran under a guard that has now ended, so every
   //            stale link such an operation may have re-published is in
   //            place by now,
-  //   re-sweep until a sweep finds nothing to fix: a clean post-drain sweep
-  //            proves no location holds a condemned pointer and (by
-  //            induction: learning one requires loading it from somewhere)
-  //            no live operation can re-publish one,
+  //   re-check repeat the targeted unlink until it finds nothing to fix: a
+  //            clean post-drain pass proves no location holds a condemned
+  //            pointer and (by induction: learning one requires loading it
+  //            from somewhere) no live operation can re-publish one,
   //   retire   hand the shells to EBR.
   // Long-lived snapshots never block the unlink: they only hold the version
   // watermark, which keeps anything they can still read out of the pass
-  // entirely; a guard held across a sweep merely postpones the drain to a
-  // later call. Returns the number of shells retired by this call.
+  // entirely; a guard held across the unlink merely postpones the drain to
+  // a later call. Returns the number of shells retired by this call.
   std::size_t purge() {
     if (purging_.exchange(true, std::memory_order_acq_rel))  // pairs: purge-flag
       return 0;
@@ -836,10 +850,10 @@ class JiffyMap {
         if (purge_pending_.empty()) {
           purge_collect(g);
           if (purge_pending_.empty()) break;  // nothing eligible
-          purge_sweep(g);  // initial unlink; by construction not clean
+          purge_unlink_pass(g);  // initial unlink; by construction not clean
           purge_epoch_ = ebr::current_epoch();
         } else if (ebr::current_epoch() >= purge_epoch_ + 2) {
-          if (purge_sweep(g) == 0) {
+          if (purge_unlink_pass(g) == 0) {
             retired = purge_retire_pending(g);
             break;
           }
@@ -851,7 +865,7 @@ class JiffyMap {
       ebr::quiesce();
       if (!purge_pending_.empty() &&
           ebr::current_epoch() < purge_epoch_ + 2)
-        break;  // some guard still spans the sweep; a later call continues
+        break;  // some guard still spans the unlink; a later call continues
     }
     purging_.store(false, std::memory_order_release);  // pairs: purge-flag
     return retired;
@@ -900,10 +914,56 @@ class JiffyMap {
     return n;
   }
 
+  // Test-only verifier of the purge pass: the number of pointers to
+  // condemned shells held where the engine reads them — the level-0 link,
+  // every tower slot and the back hint of every linked node, plus the
+  // pre-built chain of a split still waiting for its link. Read-only (it
+  // never CASes) and O(n) under one guard. A purge must leave it at 0 before
+  // it retires a shell; JIFFY_PURGE_VERIFY builds check that at every
+  // retire (DESIGN.md §9).
+  std::size_t debug_condemned_refs() const {
+    ebr::Guard g;
+    g.assert_held();
+    return condemned_refs(g);
+  }
+
  private:
   friend class Snapshot<JiffyMap>;
   template <class MapT>
   friend class SnapCursor;
+
+  // ---- tower marks ---------------------------------------------------------
+
+  // The purge pass marks a condemned node's tower slot (the low pointer bit;
+  // nodes are at least 8-aligned) before unlinking it from that level, as in
+  // Herlihy–Shavit: a CAS that expects an unmarked successor then fails on
+  // the slot, so no index_insert can link a new node behind a node that is
+  // already out of the level — such a node would be reachable through the
+  // towers above it but from no list the purge pass searches. Level 0 is
+  // never marked (DESIGN.md §9 says why it needs no mark). Every tower load
+  // strips the bit before following the pointer.
+  static Node* tower_strip(Node* p) {
+    return reinterpret_cast<Node*>(reinterpret_cast<std::uintptr_t>(p) &
+                                   ~std::uintptr_t{1});
+  }
+  static bool tower_marked(Node* p) {
+    return (reinterpret_cast<std::uintptr_t>(p) & 1) != 0;
+  }
+  static Node* tower_mark(Node* p) {
+    return reinterpret_cast<Node*>(reinterpret_cast<std::uintptr_t>(p) | 1);
+  }
+
+  // A node counts as dead only once its marker is STAMPED (merge
+  // committed). A pending marker may still be rolled back, so its node
+  // must keep owning its range; writers routed there wait the marker out
+  // in wait_writable and re-route if the merge commits.
+  static bool dead_rev(Rev* r) {
+    return r->kind == RevKind::kAbsorbed &&
+           r->version_now() != kPendingVersion;
+  }
+  static bool dead(Node* n) {
+    return dead_rev(n->rev.load(std::memory_order_seq_cst));  // pairs: rev-install
+  }
 
   // ---- location -----------------------------------------------------------
 
@@ -944,10 +1004,11 @@ class JiffyMap {
     for (;;) {
       Node* x = head_;
       for (int l = Node::kMaxHeight - 1; l >= 1; --l) {
-        for (Node* nxt =
-                 x->next[l].load(std::memory_order_acquire);  // pairs: next-link
+        for (Node* nxt = tower_strip(
+                 x->next[l].load(std::memory_order_acquire));  // pairs: next-link
              nxt && !less_(k, nxt->anchor);
-             nxt = x->next[l].load(std::memory_order_acquire))  // pairs: next-link
+             nxt = tower_strip(
+                 x->next[l].load(std::memory_order_acquire)))  // pairs: next-link
           x = nxt;
         // Foresight (DESIGN.md §14): the next hop reads the same tower slot
         // one level down — warm its target's header while this level's loop
@@ -956,19 +1017,16 @@ class JiffyMap {
         // dereferenced; the traversal reload above carries the acquire edge.
         prefetch_ro(x->next[l - 1].load(std::memory_order_relaxed));
       }
-      // A node counts as dead only once its marker is STAMPED (merge
-      // committed). A pending marker may still be rolled back, so its node
-      // must keep owning its range; writers routed there wait the marker
-      // out in wait_writable and re-route if the merge commits.
-      auto dead = [](Rev* r) {
-        return r->kind == RevKind::kAbsorbed &&
-               r->version_now() != kPendingVersion;
-      };
-      // The tower may land on a tombstone; hop left to its absorber (each
-      // hop goes strictly left, so this terminates).
+      // The tower may land on a tombstone. Hop left along back hints to a
+      // live node at or below k: every live node with an anchor <= k lies
+      // in front of k's owner, and each hop goes strictly left, so this
+      // terminates (at the head at worst). A hop may pass a node with a
+      // larger anchor — a shell keeps its place while its absorber splits
+      // in front of it — hence the anchor test.
       Rev* r = x->rev.load(std::memory_order_seq_cst);  // pairs: rev-install
-      while (dead(r)) {
-        x = r->home;
+      while (x != head_ && (dead_rev(r) || less_(k, x->anchor))) {
+        Node* b = x->back.load(std::memory_order_acquire);  // pairs: back-hint
+        x = b ? b : head_;
         r = x->rev.load(std::memory_order_seq_cst);  // pairs: rev-install
       }
       if (r->sibling) ensure_link(x, r, g);
@@ -984,12 +1042,12 @@ class JiffyMap {
         prefetch_ro(cur->next[0].load(std::memory_order_relaxed));
         Rev* rc = cur->rev.load(std::memory_order_seq_cst);  // pairs: rev-install
         if (rc->sibling) ensure_link(cur, rc, g);
-        if (!dead(rc)) live = cur;
+        if (!dead_rev(rc)) live = cur;
       }
       // Re-read the chosen head: if the node died or split since we passed
       // it, the routing decision may be stale — retry from the top.
       Rev* now = live->rev.load(std::memory_order_seq_cst);  // pairs: rev-install
-      if (dead(now)) continue;
+      if (dead_rev(now)) continue;
       if (now->sibling) {
         ensure_link(live, now, g);
         Node* nxt =
@@ -1012,10 +1070,11 @@ class JiffyMap {
     g.assert_held();
     Node* x = head_;
     for (int l = Node::kMaxHeight - 1; l >= 0; --l) {
-      for (Node* nxt =
-               x->next[l].load(std::memory_order_acquire);  // pairs: next-link
+      for (Node* nxt = tower_strip(
+               x->next[l].load(std::memory_order_acquire));  // pairs: next-link
            nxt && !less_(k, nxt->anchor);
-           nxt = x->next[l].load(std::memory_order_acquire))  // pairs: next-link
+           nxt = tower_strip(
+               x->next[l].load(std::memory_order_acquire)))  // pairs: next-link
         x = nxt;
     }
     return x->next[0].load(std::memory_order_seq_cst);  // pairs: next-link
@@ -1378,11 +1437,15 @@ class JiffyMap {
     }
     sched::point(sched::Point::kSplitLink);
     ensure_link(x, rlow, g);
-    // Tighten the old successor's back hint onto the rightmost new node
-    // (new_nodes[0]); stale hints only cost a longer forward re-walk.
-    if (old_next && !new_nodes.empty())
-      old_next->back.store(new_nodes[0],
-                           std::memory_order_release);  // pairs: back-hint
+    // The new nodes now stand between x and the old successor, whose hint
+    // (x) must move onto the rightmost of them (new_nodes[0]) to stay local
+    // (JiffyNode::back). The forced link may have re-published a condemned
+    // old_next, so the hint to fix is that of the first node after it the
+    // purge pass will keep.
+    Node* y = old_next;
+    while (y && y->condemned.load(std::memory_order_seq_cst))  // pairs: condemn-flag
+      y = y->next[0].load(std::memory_order_seq_cst);  // pairs: next-link
+    if (y) set_back(y, x, new_nodes[0], g);
     sched::point(sched::Point::kSplitStamp);
     rlow->stamp(clock_.read());
     JIFFY_COUNT(split);
@@ -1435,7 +1498,6 @@ class JiffyMap {
     // relaxed: pre-publication refcount bump; the marker CAS publishes.
     cell->refs.fetch_add(1, std::memory_order_relaxed);
     marker->prev = rs;
-    marker->home = x;
 
     RevisionBuilder<K, V> b(RevKind::kMerge,
                             static_cast<std::uint32_t>(combined),
@@ -1485,6 +1547,17 @@ class JiffyMap {
     Rev::unref(rx);
     Rev::unref(rs);
     release_cell(cell);
+    // Hand the shell to the purge pass, now that its death version is
+    // stamped. A merger that dies before this push leaves its shell linked
+    // for the map's lifetime: routing skips it, the purge pass keeps its
+    // links and hint current like any other node's, and ~JiffyMap frees it.
+    // relaxed: only a first guess; the CAS below re-validates it.
+    Node* top = pending_head_.load(std::memory_order_relaxed);
+    do {
+      s->pending_next = top;
+    } while (!pending_head_.compare_exchange_weak(
+        top, s, std::memory_order_release,
+        std::memory_order_relaxed));  // pairs: purge-pending
     // relaxed: purge-trigger estimate; crossing the threshold late or twice
     // is harmless (purge() self-serializes on purging_).
     dead_shells_.fetch_add(1, std::memory_order_relaxed);
@@ -1502,7 +1575,7 @@ class JiffyMap {
 
   // ---- reclamation internals (purge(), DESIGN.md §9) ----------------------
 
-  // Condemn every dead tombstone whose death version lies below the oldest
+  // Condemn every pending shell whose death version lies below the oldest
   // active version ticket: no current reader can need its chain, and every
   // future reader pins a version at or above the watermark — globally
   // monotonic TSC stamps put those above this shell's death version.
@@ -1517,66 +1590,113 @@ class JiffyMap {
   // watermark first would break this: with no visible tickets the scan
   // returns kIdleVersion (~0), and a tombstone stamped *after* the scan —
   // but below the version a concurrently-registering snapshot pinned —
-  // would be condemned out from under that live snapshot.
+  // would be condemned out from under that live snapshot. Shells popped in
+  // an earlier pass had their death version read then, before this scan.
   // The caller owns the purge flag and holds an EBR guard.
   void purge_collect([[maybe_unused]] const ebr::Guard& g)
       JIFFY_REQUIRES_GUARD(g) {
-    std::vector<std::pair<Node*, std::uint64_t>> cand;  // (shell, death v)
-    for (Node* x =
-             head_->next[0].load(std::memory_order_seq_cst);  // pairs: next-link
-         x; x = x->next[0].load(std::memory_order_seq_cst)) {  // pairs: next-link
-      Rev* r = x->rev.load(std::memory_order_seq_cst);  // pairs: rev-install
-      if (r->kind != RevKind::kAbsorbed) continue;
-      const std::uint64_t dv = r->version_now();
-      if (dv == kPendingVersion) continue;
-      if (x->condemned.load(std::memory_order_seq_cst))  // pairs: condemn-flag
-        continue;
-      cand.emplace_back(x, dv);
+    for (Node* x = pending_head_.exchange(
+             nullptr, std::memory_order_acquire);  // pairs: purge-pending
+         x; x = x->pending_next) {
+      const std::uint64_t dv =
+          x->rev.load(std::memory_order_seq_cst)  // pairs: rev-install
+              ->version_now();
+      // escapes: a pushed shell is dead and stays linked until the pass
+      // that condemns it; the purging_ gate makes this list single-owner.
+      purge_waiting_.emplace_back(x, dv);
     }
-    if (cand.empty()) return;
+    if (purge_waiting_.empty()) return;
     const std::uint64_t wm = ebr::min_active_version();
     if (wm == 0) return;  // a ticket is mid-registration: next time
-    for (const auto& [x, dv] : cand) {
-      if (dv >= wm) continue;
+    std::size_t kept = 0;
+    for (const auto& [x, dv] : purge_waiting_) {
+      if (dv >= wm) {
+        // escapes: still linked and dead; it waits here for a later pass
+        // (a snapshot may still read it), owned under the purging_ gate.
+        purge_waiting_[kept++] = {x, dv};
+        continue;
+      }
       if (!x->condemned.exchange(true,
                                  std::memory_order_seq_cst)) {  // pairs: condemn-flag
         // escapes: the condemn winner owns the shell — the sticky flag stops
         // re-publication, the purging_ gate makes the list single-writer, and
-        // purge_retire_pending frees it only after a clean post-drain sweep.
+        // purge_retire_pending frees it only after a clean post-drain pass.
         purge_pending_.push_back(x);
       }
     }
+    purge_waiting_.resize(kept);
   }
 
-  // One physical pass over the whole structure, returning the number of
-  // links it had to fix (0 = clean). Level 0 reaches every node — including
-  // towers orphaned from their own level by insert/unlink races — so
-  // scrubbing each visited node's full tower covers every slot that could
-  // hold a condemned pointer. Pending split links are completed first:
-  // ensure_link's force-help path re-publishes a chain that may run through
-  // a condemned node, and it must have fired before the sweep that is
-  // expected to leave none behind.
-  std::size_t purge_sweep(const ebr::Guard& g) JIFFY_REQUIRES_GUARD(g) {
+  // One targeted pass over the condemned shells, returning the number of
+  // pointers it had to fix (0 = clean).
+  std::size_t purge_unlink_pass(const ebr::Guard& g) JIFFY_REQUIRES_GUARD(g) {
     JIFFY_COUNT(purge_sweeps);
     std::size_t fixes = 0;
-    Node* p = head_;
-    while (p) {
-      Rev* rp = p->rev.load(std::memory_order_seq_cst);  // pairs: rev-install
-      if (rp->sibling) ensure_link(p, rp, g);
-      // Splice condemned nodes (chains of them, one CAS each) out of every
-      // tower slot.
-      for (int l = 1; l < p->height; ++l) {
-        for (Node* t = p->next[l].load(
-                 std::memory_order_seq_cst);  // pairs: next-link
-             t && t->condemned.load(std::memory_order_seq_cst);  // pairs: condemn-flag
-             t = p->next[l].load(std::memory_order_seq_cst)) {  // pairs: next-link
-          Node* after =
-              t->next[l].load(std::memory_order_seq_cst);  // pairs: next-link
-          if (p->next[l].compare_exchange_strong(
-                  t, after, std::memory_order_seq_cst))  // pairs: next-link
-            ++fixes;
+    std::size_t visits = 0;
+    for (Node* d : purge_pending_) fixes += purge_unlink(d, visits, g);
+    JIFFY_COUNT_N(purge_visits, static_cast<std::int64_t>(visits));
+    return fixes;
+  }
+
+  // Unlink condemned shell d from every level and retarget the back hints
+  // that point into the condemned set around it; returns the pointers
+  // fixed and adds the nodes stepped on to `visits`. Two key-directed
+  // searches (the argument that they find every pointer is DESIGN.md §9):
+  //   towers  a top-down descent to d's anchor; at each level d may occupy,
+  //           walk the run of equal anchors by identity — a tombstone and
+  //           its rebirth can share an anchor — and snip condemned nodes;
+  //   level 0 anchors do not order level 0 (a shell keeps its place while
+  //           its absorber splits in front of it), so the walk runs from
+  //           the last live node in front of d to d's first live successor
+  //           n: only dead nodes lie between d and n, so n is stable while
+  //           d is linked, every live node below n's anchor lies in front of
+  //           d, and every hint into d sits on a node of that stretch.
+  std::size_t purge_unlink(Node* d, std::size_t& visits,
+                           const ebr::Guard& g) JIFFY_REQUIRES_GUARD(g) {
+    std::size_t fixes = 0;
+    if (d->height > 1) {
+      Node* x = head_;
+      for (int l = Node::kMaxHeight - 1; l >= 1; --l) {
+        x = tower_advance(x, l, &d->anchor, visits);
+        if (l >= d->height) continue;
+        for (Node* y = x;;) {
+          Node* raw = y->next[l].load(std::memory_order_acquire);  // pairs: next-link
+          Node* nxt = tower_strip(raw);
+          if (!nxt || less_(d->anchor, nxt->anchor)) break;
+          ++visits;
+          if (!tower_marked(raw) &&
+              nxt->condemned.load(std::memory_order_seq_cst)) {  // pairs: condemn-flag
+            if (tower_snip(y, nxt, l)) ++fixes;
+            continue;
+          }
+          y = nxt;
         }
       }
+    }
+    Node* n = d->next[0].load(std::memory_order_seq_cst);  // pairs: next-link
+    while (n && dead(n)) {
+      ++visits;
+      n = n->next[0].load(std::memory_order_seq_cst);  // pairs: next-link
+    }
+    // The last live node on a descent towards n's anchor (or to the end):
+    // live, and below n's anchor, so in front of d.
+    Node* path[Node::kMaxHeight];
+    Node* x = head_;
+    for (int l = Node::kMaxHeight - 1; l >= 1; --l)
+      path[l] = x = tower_advance(x, l, n ? &n->anchor : nullptr, visits);
+    Node* p = head_;
+    for (int l = 1; l < Node::kMaxHeight && path[l] != head_; ++l) {
+      if (!dead(path[l])) {
+        p = path[l];
+        break;
+      }
+    }
+    for (;;) {
+      ++visits;
+      // A pending split link may run through a condemned node: complete
+      // it first, so the walk sees the chain the link publishes.
+      Rev* rp = p->rev.load(std::memory_order_seq_cst);  // pairs: rev-install
+      if (rp->sibling) ensure_link(p, rp, g);
       Node* c = p->next[0].load(std::memory_order_seq_cst);  // pairs: next-link
       if (!c) break;
       if (c->condemned.load(std::memory_order_seq_cst)) {  // pairs: condemn-flag
@@ -1587,23 +1707,94 @@ class JiffyMap {
           ++fixes;
         continue;  // re-examine p's (possibly new) successor
       }
-      // Back hints are only hints, but they must never dangle: retarget any
-      // that point into the condemned set at the current live predecessor
-      // (a strict list predecessor — all the hint contract promises).
+      // Hints are only hints, but they must never dangle: p is c's
+      // immediate predecessor, so it is a local target.
       Node* hint = c->back.load(std::memory_order_acquire);  // pairs: back-hint
       if (hint &&
-          hint->condemned.load(std::memory_order_seq_cst)) {  // pairs: condemn-flag
-        c->back.store(p, std::memory_order_release);  // pairs: back-hint
+          hint->condemned.load(std::memory_order_seq_cst) &&  // pairs: condemn-flag
+          set_back(c, hint, p, g))
         ++fixes;
-      }
+      if (c == n) break;
       p = c;
     }
     return fixes;
   }
 
-  // Post-drain, post-clean-sweep: the shells are permanently unreachable.
+  // One level of a top-down descent, shared by index_insert and the purge
+  // pass: from x, advance along level l while the successor's anchor is
+  // below *key (no bound when key is null), unlinking condemned successors
+  // instead of stepping onto them — the Herlihy–Shavit find. A slot that is
+  // already marked belongs to a node leaving the level: step through it.
+  Node* tower_advance(Node* x, int l, const K* key, std::size_t& visits) const {
+    for (;;) {
+      Node* raw = x->next[l].load(std::memory_order_acquire);  // pairs: next-link
+      Node* nxt = tower_strip(raw);
+      if (!nxt || (key && !less_(nxt->anchor, *key))) return x;
+      if (!tower_marked(raw) &&
+          nxt->condemned.load(std::memory_order_seq_cst)) {  // pairs: condemn-flag
+        tower_snip(x, nxt, l);
+        continue;
+      }
+      x = nxt;
+      ++visits;
+    }
+  }
+
+  // Unlink condemned c from tower level l behind x. c's slot is marked
+  // first (idempotent), so it never changes again and `after` is final.
+  // Returns true when this call's CAS did the unlink.
+  bool tower_snip(Node* x, Node* c, int l) const {
+    Node* s = c->next[l].load(std::memory_order_seq_cst);  // pairs: next-link
+    while (!tower_marked(s) &&
+           !c->next[l].compare_exchange_weak(
+               s, tower_mark(s), std::memory_order_seq_cst)) {  // pairs: next-link
+    }
+    Node* expect = c;
+    return x->next[l].compare_exchange_strong(
+        expect, tower_strip(s), std::memory_order_seq_cst);  // pairs: next-link
+  }
+
+  // Point y's back hint at z — a node the caller saw in front of y with only
+  // dead nodes between (usually z->next[0] == y) — by CAS from `expect`, the
+  // value the caller's walk started from, so a newer hint is never
+  // overwritten. A split of z between that sighting and the CAS would leave
+  // live nodes between z and y and break the hint's locality
+  // (JiffyNode::back), so check again after the CAS and, if z now has a
+  // live successor in front of y, move the hint onto the last one. Never
+  // stores a condemned node. Returns true if a CAS landed.
+  bool set_back(Node* y, Node* expect, Node* z,
+                [[maybe_unused]] const ebr::Guard& g) const
+      JIFFY_REQUIRES_GUARD(g) {
+    bool stored = false;
+    while (!z->condemned.load(std::memory_order_seq_cst)) {  // pairs: condemn-flag
+      if (!y->back.compare_exchange_strong(
+              expect, z, std::memory_order_seq_cst))  // pairs: back-hint
+        return stored;
+      stored = true;
+      Node* last_live = z;
+      Node* w = z->next[0].load(std::memory_order_seq_cst);  // pairs: next-link
+      for (; w && w != y &&
+             !y->condemned.load(std::memory_order_seq_cst);  // pairs: condemn-flag
+           w = w->next[0].load(std::memory_order_seq_cst))  // pairs: next-link
+        if (!dead(w)) last_live = w;
+      if (w != y || last_live == z) return stored;
+      expect = z;
+      z = last_live;
+    }
+    return stored;
+  }
+
+  // Post-drain, post-clean-pass: the shells are permanently unreachable.
   std::size_t purge_retire_pending([[maybe_unused]] const ebr::Guard& g)
       JIFFY_REQUIRES_GUARD(g) {
+#if defined(JIFFY_PURGE_VERIFY) && JIFFY_PURGE_VERIFY
+    if (const std::size_t refs = condemned_refs(g); refs != 0) {
+      std::fprintf(stderr,
+                   "purge: %zu pointers into condemned shells at retire\n",
+                   refs);
+      std::abort();
+    }
+#endif
     const std::size_t n = purge_pending_.size();
     for (Node* x : purge_pending_) {
       sched::point(sched::Point::kPurgeRetire);
@@ -1617,6 +1808,32 @@ class JiffyMap {
     dead_shells_.fetch_sub(static_cast<std::int64_t>(n),
                            std::memory_order_relaxed);
     return n;
+  }
+
+  // The verifier behind debug_condemned_refs (the caller holds g).
+  std::size_t condemned_refs([[maybe_unused]] const ebr::Guard& g) const
+      JIFFY_REQUIRES_GUARD(g) {
+    auto bad = [](Node* t) {
+      t = tower_strip(t);
+      return t && t->condemned.load(std::memory_order_seq_cst);  // pairs: condemn-flag
+    };
+    std::size_t found = 0;
+    for (Node* x = head_; x;
+         x = x->next[0].load(std::memory_order_seq_cst)) {  // pairs: next-link
+      if (bad(x)) continue;  // counted at its predecessor
+      const Node* nxt = x->next[0].load(std::memory_order_seq_cst);  // pairs: next-link
+      for (int l = 0; l < x->height; ++l)
+        found += bad(x->next[l].load(std::memory_order_seq_cst));  // pairs: next-link
+      found += bad(x->back.load(std::memory_order_acquire));  // pairs: back-hint
+      Rev* r = x->rev.load(std::memory_order_seq_cst);  // pairs: rev-install
+      if (!r->sibling || nxt == r->sibling) continue;
+      // A split still waiting for its link: its pre-built chain ends at the
+      // successor it recorded.
+      for (Node* m = r->sibling; m && m != r->link_expect;
+           m = m->next[0].load(std::memory_order_seq_cst))  // pairs: next-link
+        found += bad(m->next[0].load(std::memory_order_seq_cst));  // pairs: next-link
+    }
+    return found;
   }
 
   // EBR deleter for a retired shell. Its head revision is the stamped
@@ -1742,10 +1959,11 @@ class JiffyMap {
       JIFFY_REQUIRES_GUARD(g) JIFFY_REQUIRES_TICKET(tk) {
     Node* x = head_;
     for (int l = Node::kMaxHeight - 1; l >= 1; --l) {
-      for (Node* nxt =
-               x->next[l].load(std::memory_order_acquire);  // pairs: next-link
+      for (Node* nxt = tower_strip(
+               x->next[l].load(std::memory_order_acquire));  // pairs: next-link
            nxt && !less_(from, nxt->anchor) && held_at(nxt, v, g, tk);
-           nxt = x->next[l].load(std::memory_order_acquire))  // pairs: next-link
+           nxt = tower_strip(
+               x->next[l].load(std::memory_order_acquire)))  // pairs: next-link
         x = nxt;
       // Foresight: warm the next hop one level down (see locate()).
       // relaxed: prefetch address only, never dereferenced; the traversal
@@ -1852,9 +2070,9 @@ class JiffyMap {
   // is the head). Backward links are hints that only promise a strict list
   // predecessor (see JiffyNode::back), so: follow them to a node alive at
   // v, then tighten with a forward walk — every node between the hint and x
-  // is on the level-0 chain because nodes are never physically unlinked.
-  // Reverse traversal therefore inherits the forward walk's
-  // version-visibility rules; the hints only buy locality.
+  // is still on the level-0 chain, because only condemned shells leave it
+  // and no hint points at one. Reverse traversal therefore inherits the
+  // forward walk's version-visibility rules; the hints only buy locality.
   Node* pred_at(Node* x, std::uint64_t v, const ebr::Guard& g,
                 const ebr::VersionTicket& tk) const
       JIFFY_REQUIRES_GUARD(g) JIFFY_REQUIRES_TICKET(tk) {
@@ -1865,19 +2083,24 @@ class JiffyMap {
       Node* q = p->back.load(std::memory_order_acquire);  // pairs: back-hint
       p = q ? q : head_;
     }
+    // Walk to x by identity, not by anchor: a shell keeps its place while
+    // its absorber splits in front of it, so a node with a larger anchor
+    // can stand between p and x, and stopping there would make the answer
+    // depend on where the hint happened to start. Nodes held at v are in
+    // anchor order, so the last one before x is the predecessor at v.
     Node* best = p;  // the head held every version; p held v by the loop
-    for (Node* cur = p->next[0].load(std::memory_order_seq_cst);  // pairs: next-link
-         cur && less_(cur->anchor, x->anchor);
+    Node* prev = p;
+    Node* cur = p->next[0].load(std::memory_order_seq_cst);  // pairs: next-link
+    for (; cur && cur != x;
+         prev = cur,
          cur = cur->next[0].load(std::memory_order_seq_cst)) {  // pairs: next-link
       if (held_at(cur, v, g, tk)) best = cur;
     }
-    // Tighten the hint — but never to a condemned node: the purge pass
-    // scrubs stale hints before retiring a shell, and a reader must not
-    // plant fresh ones behind its back (ticketed versions make `best`
-    // condemned only in the brief window before the condemn flag is seen).
-    if (best != hint &&
-        !best->condemned.load(std::memory_order_seq_cst))  // pairs: condemn-flag
-      x->back.store(best, std::memory_order_release);  // pairs: back-hint
+    // Tighten the hint to x's immediate predecessor — the only target that
+    // keeps hints local (set_back refuses a condemned one: the purge pass
+    // scrubs hints before retiring a shell, and a reader must not plant
+    // fresh ones behind its back).
+    if (cur == x && prev != hint) set_back(x, hint, prev, g);
     return best;
   }
 
@@ -1886,10 +2109,11 @@ class JiffyMap {
   Node* rightmost(const ebr::Guard& g) const JIFFY_REQUIRES_GUARD(g) {
     Node* x = head_;
     for (int l = Node::kMaxHeight - 1; l >= 1; --l)
-      for (Node* nxt =
-               x->next[l].load(std::memory_order_acquire);  // pairs: next-link
+      for (Node* nxt = tower_strip(
+               x->next[l].load(std::memory_order_acquire));  // pairs: next-link
            nxt;
-           nxt = x->next[l].load(std::memory_order_acquire))  // pairs: next-link
+           nxt = tower_strip(
+               x->next[l].load(std::memory_order_acquire)))  // pairs: next-link
         x = nxt;
     for (;;) {
       Rev* r = x->rev.load(std::memory_order_seq_cst);  // pairs: rev-install
@@ -1923,26 +2147,25 @@ class JiffyMap {
   }
 
   // Link a freshly split node into tower levels 1..height-1. Only its
-  // creator calls this; towers are insert-only so a plain CAS per level
-  // suffices.
+  // creator calls this, bottom-up, so a node is in level l's list before it
+  // enters level l+1. The CAS expects an unmarked successor, so it can
+  // never land behind a node the purge pass is taking out of the level.
   void index_insert(Node* m, [[maybe_unused]] const ebr::Guard& g)
       JIFFY_REQUIRES_GUARD(g) {
+    std::size_t visits = 0;  // unused: only the purge pass reports visits
     for (int l = 1; l < m->height; ++l) {
       for (;;) {
         Node* pred = head_;
-        for (int dl = Node::kMaxHeight - 1; dl >= l; --dl) {
-          for (Node* nxt =
-                   pred->next[dl].load(std::memory_order_acquire);  // pairs: next-link
-               nxt && less_(nxt->anchor, m->anchor);
-               nxt = pred->next[dl].load(std::memory_order_acquire))  // pairs: next-link
-            pred = nxt;
-        }
+        for (int dl = Node::kMaxHeight - 1; dl >= l; --dl)
+          pred = tower_advance(pred, dl, &m->anchor, visits);
         Node* succ =
             pred->next[l].load(std::memory_order_acquire);  // pairs: next-link
         if (succ == m) break;
+        if (tower_marked(succ)) continue;  // pred is leaving level l
         // relaxed: m's slot at level l is unreachable until the CAS below
         // publishes it (only its creator links level l).
         m->next[l].store(succ, std::memory_order_relaxed);
+        sched::point(sched::Point::kIndexLink);
         if (pred->next[l].compare_exchange_strong(
                 succ, m, std::memory_order_seq_cst))  // pairs: next-link
           break;
@@ -1960,8 +2183,8 @@ class JiffyMap {
   StripedCounter<kCounterShards> size_;
   Node* head_;
 
-  // Reclamation state (purge()). purge_pending_ and purge_epoch_ are owned
-  // by whichever thread holds purging_.
+  // Reclamation state (purge()). purge_pending_, purge_waiting_ and
+  // purge_epoch_ are owned by whichever thread holds purging_.
   CachePadded<std::atomic<std::int64_t>>
       dead_shells_pad_;  // kAbsorbed shells not retired
   std::atomic<std::int64_t>& dead_shells_ = dead_shells_pad_.value;
@@ -1969,7 +2192,14 @@ class JiffyMap {
   std::atomic<std::uint64_t>& purged_total_ = purged_total_pad_.value;
   CachePadded<std::atomic<bool>> purging_pad_;
   std::atomic<bool>& purging_ = purging_pad_.value;
-  std::vector<Node*> purge_pending_;  // condemned + unlinked, awaiting drain
+  // Shells pushed by their mergers and not yet popped by a purge pass
+  // (a Treiber stack through JiffyNode::pending_next).
+  CachePadded<std::atomic<Node*>> pending_head_pad_;
+  std::atomic<Node*>& pending_head_ = pending_head_pad_.value;
+  // Popped shells whose death version was not yet below the watermark,
+  // with that death version (read before the pass's watermark scan).
+  std::vector<std::pair<Node*, std::uint64_t>> purge_waiting_;
+  std::vector<Node*> purge_pending_;  // condemned, awaiting clean + drain
   std::uint64_t purge_epoch_ = 0;
 };
 

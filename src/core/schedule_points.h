@@ -53,6 +53,7 @@ enum class Point : unsigned {
   kMergeStamp,       // merge union in, cell not yet stamped
   kPurgeRetire,      // purge pass about to retire an unlinked shell
   kBatchResume,      // batch watermark read, its group not yet located
+  kIndexLink,        // new node's tower slot set, its link CAS not yet made
   kCount
 };
 
@@ -60,7 +61,7 @@ inline constexpr const char* kPointNames[] = {
     "plain_stamp",     "split_link",  "split_stamp",
     "batch_install",   "batch_watermark", "batch_stamp",
     "merge_marker",    "merge_stamp", "purge_retire",
-    "batch_resume"};
+    "batch_resume",    "index_link"};
 
 inline constexpr unsigned kPointCount = static_cast<unsigned>(Point::kCount);
 

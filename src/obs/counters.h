@@ -2,8 +2,8 @@
 //
 // A fixed compile-time registry of named process-global event counters the
 // engine bumps at protocol-interesting sites: CAS install losses, help
-// stamps, batch-replay group claims/duplications, purge sweeps,
-// block-cache hits/misses, splits and merges — plus one striped max-gauge
+// stamps, batch-replay group claims/duplications, purge sweeps and the
+// nodes they visit, block-cache hits/misses, splits and merges — plus one striped max-gauge
 // (limbo_peak) tracking the deepest EBR limbo bucket ever seen.
 //
 // Design constraints (same budget DESIGN.md §14 set for the engine itself):
@@ -62,6 +62,7 @@ enum class Ev : unsigned {
   block_cache_miss,         // cacheable size fell through to ::operator new
   split,                    // revision split committed
   merge,                    // node merge committed
+  purge_visits,             // nodes the purge pass stepped on
   kCount
 };
 
@@ -71,7 +72,7 @@ inline constexpr const char* kEventNames[kEventCount] = {
     "cas_install_lost", "help_stamp",       "replay_group_claimed",
     "replay_group_duplicated", "purge_sweeps", "valve_donations",
     "block_cache_hit",  "block_cache_miss", "split",
-    "merge"};
+    "merge",            "purge_visits"};
 
 // One extra striped *max* gauge (not a sum): deepest EBR limbo bucket
 // observed by any thread. Kept out of Ev because its merge operator is max,
